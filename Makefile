@@ -31,8 +31,8 @@ LABEL ?= current
 bench-baseline:
 	$(GO) run ./cmd/vmembench -label $(LABEL) -out BENCH_vmem.json
 
-# Perf gate: lock-free malloc w1 within 15% of the locked reference
-# engine (writes nothing; safe on any host).
+# Perf gate: the allocation kernel's w1 malloc-pair median within 15%
+# of the recorded locked-engine median (writes nothing; safe on any host).
 bench-smoke:
 	$(GO) run ./cmd/vmembench -smoke
 

@@ -238,40 +238,6 @@ func TestSeedReproducesLayout(t *testing.T) {
 	}
 }
 
-// TestLockedHeapEngineMatchesDefault: the facade's LockedHeap option
-// selects the per-class-mutex reference engine, and for the same seed a
-// single goroutine gets byte-identical placement from either engine
-// (DESIGN.md §10).
-func TestLockedHeapEngineMatchesDefault(t *testing.T) {
-	lf, err := NewHeap(HeapOptions{HeapSize: 12 << 20, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lk, err := NewHeap(HeapOptions{HeapSize: 12 << 20, Seed: 7, LockedHeap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		size := 8 + (i*29)%2000
-		pa, errA := lf.Malloc(size)
-		pb, errB := lk.Malloc(size)
-		if errA != nil || errB != nil {
-			t.Fatal(errA, errB)
-		}
-		if pa != pb {
-			t.Fatalf("alloc %d: lock-free engine placed %#x, locked engine %#x", i, pa, pb)
-		}
-		if i%3 == 0 {
-			if err := lf.Free(pa); err != nil {
-				t.Fatal(err)
-			}
-			if err := lk.Free(pb); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 func TestDiscardWriter(t *testing.T) {
 	n, err := Discard.Write([]byte("ignored"))
 	if err != nil || n != 7 {
@@ -455,9 +421,8 @@ func TestFacadeRemoteFreeRing(t *testing.T) {
 		t.Fatalf("Frees = %d, RemoteFrees = %d; want both %d (drained exactly once)", st.Frees, st.RemoteFrees, n)
 	}
 	for _, bad := range []HeapOptions{
-		{HeapSize: 12 << 20, Seed: 5, RemoteFreeRing: true},                                     // not Concurrent
-		{HeapSize: 12 << 20, Seed: 5, Concurrent: true, LockedHeap: true, RemoteFreeRing: true}, // locked engine
-		{HeapSize: 12 << 20, Seed: 5, DetectCanaries: true, RemoteFreeRing: true},               // canary hooks
+		{HeapSize: 12 << 20, Seed: 5, RemoteFreeRing: true},                       // not Concurrent
+		{HeapSize: 12 << 20, Seed: 5, DetectCanaries: true, RemoteFreeRing: true}, // canary hooks
 	} {
 		if _, err := NewHeap(bad); err == nil {
 			t.Fatalf("options %+v accepted with RemoteFreeRing", bad)

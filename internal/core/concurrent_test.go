@@ -67,17 +67,18 @@ func TestConcurrentHeapStress(t *testing.T) {
 	const workers = 8
 	const rounds = 400
 
-	// Both engines stay raced: the default lock-free CAS path and the
-	// retained LockedHeap reference engine (DESIGN.md §10).
+	// Plain heaps and replicated-mode heaps both run the CAS kernel
+	// (DESIGN.md §10); RandomFill adds the in-kernel fill draws and the
+	// object writes made before each claim is published.
 	for _, tc := range []struct {
-		name   string
-		locked bool
+		name       string
+		randomFill bool
 	}{
 		{"lockfree", false},
-		{"locked", true},
+		{"randomfill", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h, err := New(Options{HeapSize: 48 << 20, Seed: 42, Concurrent: true, LockedHeap: tc.locked})
+			h, err := New(Options{HeapSize: 48 << 20, Seed: 42, Concurrent: true, RandomFill: tc.randomFill})
 			if err != nil {
 				t.Fatal(err)
 			}

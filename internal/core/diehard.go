@@ -21,21 +21,21 @@
 // which is what lets the voter in internal/replicate detect uninitialized
 // reads (§3.2, Theorem 3).
 //
-// Concurrency (DESIGN.md §7, §10): allocator metadata operations are
-// goroutine-safe, and malloc is lock-free in the common case. The probe
-// loop draws from a per-class random stream kept in an atomic word
-// (advanced by compare-and-swap, so one goroutine preserves the exact
-// seeded sequence) and claims slots by CASing the allocation bitmap
-// word directly; occupancy is an atomic counter reserved with a bounded
-// CAS increment, so the 1/M threshold can never be overshot. The
-// per-class mutex survives only for adaptive region growth — and, with
-// Options.LockedHeap, as the retained lock-per-malloc reference engine
-// the lock-free engine is differenced against (placement is
-// byte-identical between the two at one goroutine). Pointer resolution
-// for Free/SizeOf/ObjectBounds reads the page index lock-free.
-// Concurrent use requires Options.Concurrent, which switches the
-// aggregate Stats and the space's access accounting to atomic updates;
-// heaps built without it keep unsynchronized counters and must be
+// Concurrency (DESIGN.md §7, §10, §11): allocator metadata operations
+// are goroutine-safe, and malloc is lock-free in the common case. There
+// is one allocation engine: a claim-as-you-go kernel that reserves
+// occupancy with one bounded CAS increment (so the 1/M threshold can
+// never be overshot), draws slots from a register-resident copy of the
+// per-class random stream, claims each slot by CASing the allocation
+// bitmap word as it is drawn, and publishes the consumed draws with one
+// CAS of the stream word (so one goroutine preserves the exact seeded
+// sequence). An unbatched malloc is a claim of one slot; a magazine
+// refill is a claim of many. The per-class mutex survives only for
+// adaptive region growth. Pointer resolution for Free/SizeOf/
+// ObjectBounds reads the page index lock-free. Concurrent use requires
+// Options.Concurrent, which switches the aggregate Stats and the
+// space's access accounting to atomic updates; heaps built without it
+// keep unsynchronized counters, run the kernel fence-free, and must be
 // confined to one goroutine at a time, as the sequential experiment
 // trials are.
 package core
@@ -87,7 +87,10 @@ type Options struct {
 	// seeds so failures are reproducible.
 	Seed uint64
 	// RandomFill enables replicated-mode semantics: the heap and every
-	// allocated object are filled with random values (§4.1, §4.2).
+	// allocated object are filled with random values (§4.1, §4.2). Each
+	// object's fill words are drawn from its class stream right after the
+	// probe draws that placed it, so a class's placements and fill values
+	// are deterministic in its own allocation order.
 	RandomFill bool
 	// Adaptive enables the paper's future-work extension (§9): regions
 	// start small and double on demand up to the per-class cap, trading
@@ -103,9 +106,8 @@ type Options struct {
 	// Concurrent prepares the heap for use by multiple goroutines at
 	// once: allocator statistics are maintained atomically and the
 	// underlying space counts accesses atomically (vmem.StatsShared).
-	// Structural metadata is goroutine-safe regardless (lock-free CAS,
-	// or per-class locks with LockedHeap); Concurrent is about the
-	// counters, and sequential heaps skip its atomics.
+	// Structural metadata is claimed and released by CAS; sequential
+	// heaps run the same protocol with plain stores and skip the atomics.
 	Concurrent bool
 	// RemoteRing attaches a bounded multi-producer free ring to the heap
 	// (DESIGN.md §12): RemoteFree enqueues the address with one atomic
@@ -113,22 +115,10 @@ type Options struct {
 	// points (magazine refill, threshold miss, CheckInvariants), so
 	// cross-worker frees stop contending on the owner's bitmap and
 	// occupancy cache lines. Sharded heaps propagate the option to every
-	// shard. Requires Concurrent and the lock-free engine; incompatible
-	// with observation hooks (hooked heaps are confined to one goroutine,
-	// which is exactly what a remote producer is not).
+	// shard. Requires Concurrent; incompatible with observation hooks
+	// (hooked heaps are confined to one goroutine, which is exactly what
+	// a remote producer is not).
 	RemoteRing bool
-	// LockedHeap selects the per-class-mutex malloc engine (the PR-2
-	// design) instead of the default lock-free CAS engine: every probe
-	// and bitmap update runs under the size class's lock. The engine is
-	// retained as the semantic reference the lock-free path is
-	// differenced against — with the same seed and one goroutine the two
-	// engines place every object at the same address (DESIGN.md §10) —
-	// and as the baseline vmembench compares malloc latency to.
-	// RandomFill heaps always use it: the object fill draws from the
-	// same per-class stream the probes do, which only stays cheap under
-	// the class lock, and replicated-mode heaps are per-replica
-	// sequential anyway.
-	LockedHeap bool
 	// GenTags attaches a generation counter to every small-object slot
 	// (DESIGN.md §15): a per-subregion side array next to the bitmap, so
 	// — like every other piece of DieHard metadata — tags live outside
@@ -144,7 +134,7 @@ type Options struct {
 	// allocator (§12) — into a deterministic Stats.StaleFrees rejection.
 	// A slot reaching the generation ceiling is retired (bit held set
 	// forever, counted in Stats.Retired) so the 32-bit tag can never wrap
-	// into a false "valid". Requires the lock-free engine.
+	// into a false "valid".
 	GenTags bool
 	// OnAlloc, when non-nil, is invoked after every successful
 	// allocation with the object's address, the requested size, and the
@@ -162,9 +152,9 @@ type Options struct {
 	// the guarded mapping is unmapped, so a detection engine can audit
 	// the trailing-page slack that the unmap destroys; the hook can tell
 	// them apart because their OnAlloc reported reqSize > MaxObjectSize.
-	// On the lock-free engine the hooks fire exactly once per CAS
-	// winner: the goroutine that set (or cleared) the slot's bit is the
-	// one that runs the hook, outside any lock.
+	// The hooks fire exactly once per CAS winner: the goroutine that set
+	// (or cleared) the slot's bit is the one that runs the hook, outside
+	// any lock.
 	OnFree func(p heap.Ptr, slotSize int)
 	// OnStaleFree, when non-nil, is invoked whenever a generation-tagged
 	// free (FreeFat) is rejected because the pointer's generation no
@@ -198,12 +188,11 @@ type Options struct {
 	// winner free semantics are preserved: the release's CAS-clear
 	// remains the single arbiter, so racing frees of a quarantined
 	// pointer just enqueue twice and all but one release counts an
-	// IgnoredFree. Requires the lock-free engine. Magazine-buffered and
-	// remote-ring frees bypass the filter (they batch past per-pointer
-	// interception); callers route quarantinable frees through Heap.Free
-	// or ShardedHeap.Free. Like SizeAdjust, the callback itself must be
-	// goroutine-safe on concurrent heaps; nil costs one pointer check per
-	// Free.
+	// IgnoredFree. Magazine-buffered and remote-ring frees bypass the
+	// filter (they batch past per-pointer interception); callers route
+	// quarantinable frees through Heap.Free or ShardedHeap.Free. Like
+	// SizeAdjust, the callback itself must be goroutine-safe on
+	// concurrent heaps; nil costs one pointer check per Free.
 	FreeFilter func(p heap.Ptr, slotSize int) bool
 	// QuarantineCap bounds the quarantine FIFO (default 64): pushing past
 	// the cap releases the oldest held slot. Larger caps hold freed slots
@@ -245,16 +234,14 @@ func (o *Options) withDefaults() Options {
 // subregions as demand grows. The class back-pointer and the shift
 // duplicate (log2 of the class's object size) let a pointer-to-
 // subregion resolved through the page index compute its slot without a
-// second indirection. Bitmap access follows the engine's discipline
-// (DESIGN.md §10): the locked engine uses the plain accessors, always
-// under the class mutex (readers included); a concurrent lock-free heap
-// claims and releases bits by CAS and reads them with atomic loads; a
-// sequential (non-Concurrent) lock-free heap is confined to one
-// goroutine, where the plain accessors are exact without any fence. On
-// amd64 an atomic load is an ordinary MOV, so the read paths use atomic
-// loads wherever an engine might race — the cost shows up only in
-// stores, which Go compiles to XCHG. base, slots, and shift are
-// immutable after construction.
+// second indirection. Bitmap access follows the heap's discipline
+// (DESIGN.md §10): a concurrent heap claims and releases bits by CAS and
+// reads them with atomic loads; a sequential (non-Concurrent) heap is
+// confined to one goroutine, where the plain accessors are exact without
+// any fence. On amd64 an atomic load is an ordinary MOV, so the read
+// paths use atomic loads wherever a writer might race — the cost shows
+// up only in stores, which Go compiles to XCHG. base, slots, and shift
+// are immutable after construction.
 type subregion struct {
 	base  uint64
 	slots int
@@ -272,7 +259,15 @@ type subregion struct {
 
 func (s *subregion) get(i int) bool { return s.bits[i>>6]&(1<<(i&63)) != 0 }
 func (s *subregion) set(i int)      { s.bits[i>>6] |= 1 << (i & 63) }
-func (s *subregion) clear(i int)    { s.bits[i>>6] &^= 1 << (i & 63) }
+
+// clearPlain clears bit i without a fence and reports whether it was
+// set.
+func (s *subregion) clearPlain(i int) bool {
+	w, bit := &s.bits[i>>6], uint64(1)<<(i&63)
+	old := *w
+	*w = old &^ bit
+	return old&bit != 0
+}
 
 func (s *subregion) getAtomic(i int) bool {
 	return atomic.LoadUint64(&s.bits[i>>6])&(1<<(i&63)) != 0
@@ -323,6 +318,10 @@ func (s *subregion) casClear(i int) bool {
 type classRegions struct {
 	subs       []*subregion
 	totalSlots int
+	// rejectBelow is -totalSlots mod totalSlots, the Lemire rejection
+	// threshold of a uniform draw over the class's slots, computed once
+	// per publication instead of by a division on every claim.
+	rejectBelow uint32
 }
 
 // locate maps a class-wide slot index to its subregion and local index.
@@ -342,22 +341,17 @@ func (r *classRegions) locate(idx int) (*subregion, int) {
 }
 
 // sizeClass holds the segregated metadata for one power-of-two region.
-// On the default lock-free engine the mutex is touched only by adaptive
-// growth: probing draws from randState (the packed rng.Step stream),
-// slots are claimed by bitmap CAS, and occupancy is reserved with a
-// bounded CAS increment on inUse so the 1/M threshold holds at every
-// instant, not just at quiescence — with the CAS machinery engaged only
-// when Options.Concurrent declares real multi-goroutine use; sequential
-// lock-free heaps run the same protocol fence-free. With
-// Options.LockedHeap the mutex guards the whole malloc/free path, the
-// fine-grained analog of Hoard's per-heap locks that PR 2 shipped; both
-// engines share this storage, differing only in how they serialize
-// access to it (plain fields + sync/atomic function calls, so each
-// engine pays only for the ordering it needs).
+// The mutex is touched only by adaptive growth: probing draws from
+// randState (the packed rng.Step stream), slots are claimed by bitmap
+// CAS, and occupancy is reserved with a bounded CAS increment on inUse
+// so the 1/M threshold holds at every instant, not just at quiescence —
+// with the CAS machinery engaged only when Options.Concurrent declares
+// real multi-goroutine use; sequential heaps run the same protocol
+// fence-free (plain fields + sync/atomic function calls, so each heap
+// pays only for the ordering it needs).
 type sizeClass struct {
-	mu        sync.Mutex // adaptive growth; the whole path under LockedHeap
+	mu        sync.Mutex // adaptive growth
 	randState uint64     // packed MWC probe/fill stream (rng.Step)
-	fillBuf   []byte     // RandomFill staging; under mu (locked engine only)
 
 	size     int
 	shift    uint                         // log2(size), for divisions on the hot path
@@ -398,15 +392,13 @@ type Heap struct {
 	space       *vmem.Space
 	seed        uint64
 	atomicStats bool // Concurrent heaps maintain stats atomically
-	lockfree    bool // CAS malloc engine; false = LockedHeap/RandomFill
 	classes     [NumClasses]sizeClass
 	stats       heap.Stats
 
 	largeMu   sync.Mutex
 	large     map[heap.Ptr]largeObject
-	largeRand rng.MWC // fill stream for large objects; under largeMu
-	largeBuf  []byte  // under largeMu
-	largeGen  uint64  // GenTags issue counter for large objects; under largeMu
+	largeRand uint64 // packed fill stream for large objects; under largeMu
+	largeGen  uint64 // GenTags issue counter for large objects; under largeMu
 
 	idxMu   sync.Mutex // serializes pageIdx publication
 	pageIdx atomic.Pointer[pageIndex]
@@ -430,6 +422,12 @@ type Heap struct {
 	// later via SetTrace). Nil = disabled; every emit site guards with
 	// its own nil check so the disabled hot path is one branch.
 	trace *obs.Ring
+
+	// publishHook, when non-nil, runs on a concurrent claim just before
+	// its stream-publication CAS with the first slot claimed: a test seam
+	// for driving the lost-CAS undo deterministically. It takes the slot
+	// by value so the claim buffer never escapes.
+	publishHook func(first heap.Ptr)
 }
 
 var _ heap.Allocator = (*Heap)(nil)
@@ -486,7 +484,6 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 		opts:        o,
 		space:       space,
 		atomicStats: o.Concurrent,
-		lockfree:    !o.LockedHeap && !o.RandomFill,
 		large:       make(map[heap.Ptr]largeObject),
 		trace:       o.Trace,
 	}
@@ -494,19 +491,10 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 		if !o.Concurrent {
 			return nil, fmt.Errorf("diehard: RemoteRing is a cross-goroutine free path and requires Concurrent")
 		}
-		if !h.lockfree {
-			return nil, fmt.Errorf("diehard: RemoteRing requires the lock-free engine (not LockedHeap/RandomFill)")
-		}
 		if o.OnAlloc != nil || o.OnFree != nil || o.OnStaleFree != nil {
 			return nil, fmt.Errorf("diehard: RemoteRing cannot batch past per-operation observation hooks")
 		}
 		h.remote = newFreeRing(remoteRingSize)
-	}
-	if o.FreeFilter != nil && !h.lockfree {
-		return nil, fmt.Errorf("diehard: FreeFilter quarantine requires the lock-free engine (not LockedHeap/RandomFill)")
-	}
-	if o.GenTags && !h.lockfree {
-		return nil, fmt.Errorf("diehard: GenTags requires the lock-free engine (not LockedHeap/RandomFill)")
 	}
 	if h.space == nil {
 		h.space = vmem.NewSpace()
@@ -546,7 +534,7 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 		// derived from the master seed, so the probe sequence of one
 		// class is independent of activity in the others — the property
 		// that keeps placement deterministic per class allocation
-		// sequence on either engine.
+		// sequence.
 		cl.randState = master.Split().Seed()
 		initial := capSlots
 		if o.Adaptive {
@@ -562,18 +550,18 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 			return nil, err
 		}
 	}
-	h.largeRand = *master.Split()
+	h.largeRand = master.Split().Seed()
 	return h, nil
 }
 
 // addSubregion maps a new stretch of slots for class c, recomputes the
 // 1/M threshold, and registers the new pages in the page index. The
 // caller holds the class mutex (or is the constructor). Publication
-// order matters for the lock-free engine's unlocked readers: the page
-// index is extended first (so any pointer handed out of the new
-// subregion resolves), then the region list (so probes can land there),
-// and the threshold is raised last (so no occupancy is reserved for
-// slots that are not yet probe-visible).
+// order matters for the unlocked readers: the page index is extended
+// first (so any pointer handed out of the new subregion resolves), then
+// the region list (so probes can land there), and the threshold is
+// raised last (so no occupancy is reserved for slots that are not yet
+// probe-visible).
 func (h *Heap) addSubregion(c, slots int) error {
 	cl := &h.classes[c]
 	bytes := slots * cl.size
@@ -603,6 +591,9 @@ func (h *Heap) addSubregion(c, slots int) error {
 		next.totalSlots += cur.totalSlots
 	}
 	next.subs = append(next.subs, sub)
+	if n := uint32(next.totalSlots); n > 0 {
+		next.rejectBelow = -n % n
+	}
 	cl.regions.Store(next)
 	cl.maxInUse.Store(int64(float64(next.totalSlots) / h.opts.M))
 	return nil
@@ -658,9 +649,9 @@ func ClassSize(c int) int { return MinObjectSize << c }
 
 // Malloc allocates size bytes, placing the object uniformly at random
 // within its size class region (DieHardMalloc, Figure 2 of the paper).
-// Safe for concurrent use; on the default engine the small-object path
-// is lock-free (DESIGN.md §10), and on the LockedHeap reference engine
-// mallocs in different size classes do not contend.
+// Safe for concurrent use; the small-object path is a claim of one slot
+// through the lock-free kernel (DESIGN.md §10), with the slot buffer on
+// the caller's stack, so it allocates nothing.
 func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 	if size < 0 {
 		h.addStat(&h.stats.FailedMallocs, 1)
@@ -678,126 +669,218 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 		return h.allocateLargeObject(size)
 	}
 	c := ClassFor(size)
-	if h.lockfree {
-		return h.mallocLockFree(c, size)
-	}
-	return h.mallocLocked(c, size)
-}
-
-// mallocLockFree is the default small-object malloc: a bounded CAS
-// increment reserves occupancy below the 1/M threshold, then the probe
-// loop draws slots from the class stream and claims the first free one
-// by CASing its bitmap word (DESIGN.md §10). No mutex is touched unless
-// the class must grow. Exactly one goroutine wins each slot, so the
-// observation hooks fire exactly once per allocation.
-//
-// The stream advance is batched: the whole probe sequence draws against
-// a register-resident copy of the packed state, and one CAS publishes
-// the consumed draws. If the CAS fails a racing malloc advanced the
-// stream first; the probe sequence replays from the fresh state (its
-// candidate slot was never claimed, so nothing needs undoing). A lone
-// goroutine therefore consumes exactly the draw sequence the locked
-// engine would — the determinism the campaign recordings pin — at one
-// RMW instead of one per draw.
-func (h *Heap) mallocLockFree(c, size int) (heap.Ptr, error) {
-	cl := &h.classes[c]
-	if err := h.reserve(c); err != nil {
-		h.addStat(&h.stats.FailedMallocs, 1)
+	var slot [1]heap.Ptr
+	if _, err := h.claim(c, slot[:]); err != nil {
 		return heap.Null, err
 	}
-	// Probe for a free slot. The region is at most 1/M full, so the
-	// expected number of probes is 1/(1 - 1/M): two for M = 2 (§4.2).
-	// The cap guards against metadata-accounting bugs, not against bad
-	// luck; it is astronomically unlikely to trigger when invariants
-	// hold. The region list is reloaded every replay so a probe
-	// sequence spanning adaptive growth sees the fresh slots.
-	// probes accumulates across replays: an abandoned attempt's probes
-	// were work actually performed (and draws actually consumed by the
-	// racing winner's stream advance notwithstanding, ours were real
-	// bitmap examinations), so they are charged to Stats like the locked
-	// engine charges every probe it runs.
-	var (
-		sub     *subregion
-		local   int
-		probes  int
-		replays int
-	)
-	for {
-		st0 := atomic.LoadUint64(&cl.randState)
-		st := st0
-		regs := cl.regions.Load()
-		n := uint32(regs.totalSlots)
-		single := len(regs.subs) == 1
-		rejectBelow := -n % n
-		for {
-			if probes >= 64*regs.totalSlots+64 {
-				h.releaseReservation(cl)
-				return heap.Null, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-			}
-			probes++
-			// Lemire multiply-shift with rejection: the identical draw
-			// stream to the locked engine's probe loop.
-			var v uint32
-			st, v = rng.Step(st)
-			m := uint64(v) * uint64(n)
-			for uint32(m) < rejectBelow {
-				st, v = rng.Step(st)
-				m = uint64(v) * uint64(n)
-			}
-			if single {
-				sub, local = regs.subs[0], int(m>>32)
-			} else {
-				sub, local = regs.locate(int(m >> 32))
-			}
-			if !sub.getAtomic(local) {
-				break
-			}
-		}
-		if !h.atomicStats {
-			// Single-goroutine contract: no stream racer, no slot racer —
-			// commit plainly and claim without fences.
-			cl.randState = st
-			sub.set(local)
-			h.genClaim(sub, local)
-			cl.mallocs++
-			break
-		}
-		if !atomic.CompareAndSwapUint64(&cl.randState, st0, st) {
-			// Draws consumed by a racing malloc: replay. A class losing
-			// repeatedly is contended — back off (bounded exponential +
-			// jitter from the already-consumed local draw state) so the
-			// losers stop replaying whole probe sequences against each
-			// other; replays surface in Stats.CASRetries.
-			replays++
-			backoffSpin(replays, uint32(st)^uint32(st0>>32))
-			continue
-		}
-		if sub.casSet(local) {
-			// The generation bump needs no CAS: the slot's word is only
-			// ever advanced even→odd by its casSet winner (us), and frees
-			// reject even words, so the word is quiescent until we bump.
-			h.genClaim(sub, local)
-			atomic.AddUint64(&cl.mallocs, 1)
-			break
-		}
-		// The observed-free slot was claimed between the stream commit
-		// and the bitmap CAS; draw again from the advanced stream.
-	}
-	ptr := sub.base + uint64(local)<<cl.shift
-	h.addStat(&h.stats.Probes, uint64(probes))
-	if replays > 0 {
-		h.addStat(&h.stats.CASRetries, uint64(replays))
-	}
-	h.addStat(&h.stats.WorkUnits,
-		heap.WorkSizeClass+uint64(probes)*heap.WorkProbe+heap.WorkBitmap)
-	h.countMalloc(size, cl.size)
+	ptr, slotSize := slot[0], ClassSize(c)
+	h.countMalloc(size, slotSize)
 	if h.trace != nil {
 		h.trace.Emit(obs.EvMalloc, ptr)
 	}
 	if h.opts.OnAlloc != nil {
-		h.opts.OnAlloc(ptr, size, cl.size)
+		h.opts.OnAlloc(ptr, size, slotSize)
 	}
 	return ptr, nil
+}
+
+// claim is the allocator's one probe loop (Figure 2, DESIGN.md §10-§11):
+// it claims up to len(out) slots of class c into out and reports how
+// many (at least one). One bounded reservation takes the occupancy
+// units; then slots are drawn against a register-resident copy of the
+// packed class stream (rng.Step) and each is claimed as it is drawn, so
+// every draw probes exactly the bitmap state its unbatched twin would
+// see. On RandomFill heaps each claim's fill words are drawn from the
+// same copy right after its probe draws. The whole advance is published
+// with a single CAS of the stream word; if that CAS loses, a racing
+// consumer advanced the stream first, so the claims are handed back and
+// the claim replays from the fresh state (with backoff; losses surface
+// in Stats.CASRetries). A committed claim is therefore always a
+// contiguous prefix of the class stream: at one goroutine the CAS never
+// loses, and a claim of k slots is bit-identical to k claims of one —
+// the prefix property that lets Malloc (a claim of one) and magazine
+// refills (a claim of many) share this loop.
+func (h *Heap) claim(c int, out []heap.Ptr) (int, error) {
+	if !h.atomicStats && !h.opts.Adaptive && !h.opts.RandomFill {
+		return h.claimPlain(c, out)
+	}
+	cl := &h.classes[c]
+	got, probes, replays := 0, 0, 0
+	for {
+		if got == 0 {
+			var err error
+			if got, err = h.reserve(c, len(out)); err != nil {
+				h.addStat(&h.stats.FailedMallocs, 1)
+				return 0, err
+			}
+		}
+		// The region list is reloaded every replay so a claim spanning
+		// adaptive growth sees the fresh slots. The region is at most 1/M
+		// full, so the expected number of probes per slot is
+		// 1/(1 - 1/M): two for M = 2 (§4.2). The probe cap guards
+		// against metadata-accounting bugs, not against bad luck; it is
+		// astronomically unlikely to trigger when invariants hold.
+		// probes accumulates across replays: an abandoned attempt's
+		// probes were real bitmap examinations, charged to Stats.
+		regs := cl.regions.Load()
+		n, single := uint32(regs.totalSlots), len(regs.subs) == 1
+		probeCap := 64*regs.totalSlots + 64
+		st0 := atomic.LoadUint64(&cl.randState)
+		st := st0
+		k := 0
+		var err error
+		for k < got && probes < probeCap {
+			probes++
+			// Lemire multiply-shift with rejection.
+			var v uint32
+			st, v = rng.Step(st)
+			m := uint64(v) * uint64(n)
+			for uint32(m) < regs.rejectBelow {
+				st, v = rng.Step(st)
+				m = uint64(v) * uint64(n)
+			}
+			sub, local := regs.subs[0], int(m>>32)
+			if !single {
+				sub, local = regs.locate(local)
+			}
+			if h.atomicStats {
+				if !sub.casSet(local) {
+					continue
+				}
+			} else {
+				if sub.get(local) {
+					continue
+				}
+				sub.set(local)
+			}
+			h.genClaim(sub, local)
+			out[k] = sub.base + uint64(local)<<cl.shift
+			k++
+			if h.opts.RandomFill {
+				// The fill words follow the claim's probe draws on the same
+				// stream, and land before the claim is published.
+				if st, err = h.fillRandom(st, out[k-1], cl.size); err != nil {
+					break
+				}
+			}
+		}
+		if err == nil && k < got {
+			err = errNoFreeSlot
+		}
+		if err != nil {
+			// Hand back the claims and every unit they do not keep: the
+			// unclaimed part of the reservation plus the released claims.
+			h.addInUse(cl, -int64(got-k+h.unclaim(out[:k])))
+			return 0, err
+		}
+		if !h.atomicStats {
+			cl.randState = st
+			cl.mallocs += uint64(got)
+			break
+		}
+		if h.publishHook != nil {
+			h.publishHook(out[0])
+		}
+		if atomic.CompareAndSwapUint64(&cl.randState, st0, st) {
+			atomic.AddUint64(&cl.mallocs, uint64(got))
+			break
+		}
+		// A racing consumer advanced the stream: these draws are no
+		// longer the stream prefix, so un-claim and replay. Only the
+		// released claims return to the reservation: a claim a wild free
+		// stole gave its unit back with that free, and a claim that
+		// retired keeps its unit, so the replay shrinks by both. A
+		// reservation shrunk to nothing is taken again.
+		got = h.unclaim(out[:got])
+		replays++
+		backoffSpin(replays, uint32(st))
+	}
+	if replays > 0 {
+		h.addStat(&h.stats.CASRetries, uint64(replays))
+	}
+	h.countClaim(got, probes)
+	return got, nil
+}
+
+// claimPlain is the kernel's one specialization, for a sequential,
+// non-adaptive heap outside replicated mode — every class has exactly
+// one subregion, nothing races, and nothing is filled. It runs claim's
+// protocol fence-free: a plain bounded increment, bitmap words addressed
+// directly, and the stream committed with a plain store; the draw loop
+// runs register-to-register.
+func (h *Heap) claimPlain(c int, out []heap.Ptr) (int, error) {
+	cl := &h.classes[c]
+	got, err := h.reserve(c, len(out))
+	if err != nil {
+		h.addStat(&h.stats.FailedMallocs, 1)
+		return 0, err
+	}
+	regs := cl.regions.Load()
+	sub := regs.subs[0]
+	n, rejectBelow := uint32(sub.slots), regs.rejectBelow
+	bits, gens := sub.bits, sub.gens
+	st := cl.randState
+	k, probes, probeCap := 0, 0, 64*sub.slots+64
+	for k < got && probes < probeCap {
+		probes++
+		var v uint32
+		st, v = rng.Step(st)
+		m := uint64(v) * uint64(n)
+		for uint32(m) < rejectBelow {
+			st, v = rng.Step(st)
+			m = uint64(v) * uint64(n)
+		}
+		local := int(m >> 32)
+		w, bit := local>>6, uint64(1)<<(local&63)
+		if bits[w]&bit != 0 {
+			continue
+		}
+		bits[w] |= bit
+		if gens != nil {
+			gens[local]++ // tagged claim bump
+		}
+		out[k] = sub.base + uint64(local)<<sub.shift
+		k++
+	}
+	if k < got {
+		h.addInUse(cl, -int64(got-k+h.unclaim(out[:k])))
+		return 0, errNoFreeSlot
+	}
+	cl.randState = st
+	cl.mallocs += uint64(got)
+	h.countClaim(got, probes)
+	return got, nil
+}
+
+// errNoFreeSlot reports a probe sequence that found no free slot below
+// the fill threshold: possible only when the metadata is inconsistent.
+var errNoFreeSlot error = &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
+
+// countClaim charges a committed claim of got slots and its probes to
+// the heap's work and probe counters.
+func (h *Heap) countClaim(got, probes int) {
+	h.addStat(&h.stats.Probes, uint64(probes))
+	h.addStat(&h.stats.WorkUnits,
+		uint64(got)*(heap.WorkSizeClass+heap.WorkBitmap)+uint64(probes)*heap.WorkProbe)
+}
+
+// unclaim hands claimed but never-served slots back to their class:
+// each is released through the ordinary free arbitration, so a slot a
+// wild free stole in the meantime is skipped and a tagged slot at the
+// generation ceiling retires. It returns the released count — the only
+// occupancy units the caller may give back or re-use.
+func (h *Heap) unclaim(slots []heap.Ptr) int {
+	var t freeTally
+	for _, p := range slots {
+		_, sub, local := h.find(p)
+		t[h.release(sub, local, 0)]++
+	}
+	if t[genRetireOut] > 0 {
+		// Retired slots keep their bit and their occupancy unit forever;
+		// they were never served, so nothing else is counted.
+		h.addStat(&h.stats.Retired, uint64(t[genRetireOut]))
+	}
+	return t[genWin]
 }
 
 // backoffSink absorbs the spin loop below so the compiler cannot
@@ -811,7 +894,7 @@ var backoffSink atomic.Uint64
 // observed counter — never from a fresh draw, so the shared per-class
 // probe stream is untouched and placement stays seed-deterministic. At
 // one goroutine a CAS never loses, so this path never runs and the
-// sequential engines are bit-for-bit unaffected; the first loss retries
+// sequential heaps are bit-for-bit unaffected; the first loss retries
 // immediately (the common transient), and only repeat losers pay.
 func backoffSpin(attempt int, jitter uint32) {
 	if attempt < 2 {
@@ -834,29 +917,33 @@ func backoffSpin(attempt int, jitter uint32) {
 	}
 }
 
-// reserve claims one unit of class occupancy with a bounded CAS
-// increment: the threshold test and the increment are one atomic step,
-// so inUse can never overshoot maxInUse even mid-race. At the threshold
-// it falls into the growth engine (the one surviving use of the class
-// mutex) and retries; non-adaptive heaps fail immediately (Figure 2,
-// line 6). Sequential (non-Concurrent) heaps run the same bounded
-// increment without the RMW, which their one-goroutine contract makes
-// exact.
-func (h *Heap) reserve(c int) error {
+// reserve claims up to want units of class c occupancy (at least one)
+// with one bounded CAS increment: the threshold test and the whole
+// increment are one atomic step, so inUse can never overshoot maxInUse
+// even mid-race. At the threshold it drains queued remote frees, then
+// falls into the growth engine (the one surviving use of the class
+// mutex) and retries; non-adaptive heaps fail (Figure 2, line 6).
+// Sequential (non-Concurrent) heaps run the same bounded increment
+// without the RMW, which their one-goroutine contract makes exact.
+func (h *Heap) reserve(c, want int) (int, error) {
 	cl := &h.classes[c]
 	replays := 0
 	for {
 		cur := atomic.LoadInt64(&cl.inUse)
-		if cur < cl.maxInUse.Load() {
-			if !h.atomicStats {
-				cl.inUse = cur + 1
-				return nil
+		if avail := cl.maxInUse.Load() - cur; avail > 0 {
+			take := int64(want)
+			if take > avail {
+				take = avail
 			}
-			if atomic.CompareAndSwapInt64(&cl.inUse, cur, cur+1) {
+			if !h.atomicStats {
+				cl.inUse = cur + take
+				return int(take), nil
+			}
+			if atomic.CompareAndSwapInt64(&cl.inUse, cur, cur+take) {
 				if replays > 0 {
 					h.addStat(&h.stats.CASRetries, uint64(replays))
 				}
-				return nil
+				return int(take), nil
 			}
 			replays++
 			backoffSpin(replays, uint32(cur))
@@ -870,21 +957,21 @@ func (h *Heap) reserve(c int) error {
 			continue
 		}
 		if !h.opts.Adaptive {
-			return heap.ErrOutOfMemory
+			return 0, heap.ErrOutOfMemory
 		}
 		if err := h.growClass(c); err != nil {
-			return err
+			return 0, err
 		}
 	}
 }
 
-// releaseReservation hands back an occupancy unit on a failed lock-free
-// malloc.
-func (h *Heap) releaseReservation(cl *sizeClass) {
+// addInUse adjusts class occupancy by delta: atomically on Concurrent
+// heaps, plainly on sequential ones.
+func (h *Heap) addInUse(cl *sizeClass, delta int64) {
 	if h.atomicStats {
-		atomic.AddInt64(&cl.inUse, -1)
+		atomic.AddInt64(&cl.inUse, delta)
 	} else {
-		cl.inUse--
+		cl.inUse += delta
 	}
 }
 
@@ -910,145 +997,30 @@ func (h *Heap) growClass(c int) error {
 	return h.addSubregion(c, grow)
 }
 
-// mallocLocked is the retained per-class-mutex reference engine
-// (Options.LockedHeap, and every RandomFill heap): the PR-2 design,
-// byte-identical in placement to the lock-free engine at one goroutine
-// because both consume the same per-class draw stream.
-func (h *Heap) mallocLocked(c, size int) (heap.Ptr, error) {
-	cl := &h.classes[c]
-	cl.mu.Lock()
-	regs := cl.regions.Load()
-	if cl.inUse >= cl.maxInUse.Load() {
-		if h.opts.Adaptive && regs.totalSlots < cl.capSlots {
-			grow := regs.totalSlots
-			if regs.totalSlots+grow > cl.capSlots {
-				grow = cl.capSlots - regs.totalSlots
-			}
-			if err := h.addSubregion(c, grow); err != nil {
-				cl.mu.Unlock()
-				h.addStat(&h.stats.FailedMallocs, 1)
-				return heap.Null, err
-			}
-			regs = cl.regions.Load()
-		} else {
-			// At threshold: no more memory (Figure 2, line 6).
-			cl.mu.Unlock()
-			h.addStat(&h.stats.FailedMallocs, 1)
-			return heap.Null, heap.ErrOutOfMemory
-		}
-	}
-	// Probe for a free slot, consuming exactly the draw stream the
-	// lock-free engine does, with the class mutex held and the stream
-	// state register-resident. The single-subregion case (every
-	// non-adaptive heap) runs a specialized loop; probes are accounted
-	// in bulk afterwards.
-	probeCap := 64*regs.totalSlots + 64
-	n := uint32(regs.totalSlots)
-	sub := regs.subs[0]
-	var local int
-	probes := 0
-	st := cl.randState
-	rejectBelow := -n % n
-	if len(regs.subs) == 1 {
-		// Single-subregion fast loop: generator state in a local so the
-		// probe iterations run register-to-register; the reduction is
-		// the same Lemire multiply-shift-with-rejection as rng.Uint32n,
-		// so the draw stream is identical.
-		for {
-			if probes == probeCap {
-				cl.randState = st
-				cl.mu.Unlock()
-				return heap.Null, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-			}
-			probes++
-			var v uint32
+// fillRandom fills an allocated object with random values drawn from
+// the packed stream state st (Figure 2, DieHardMalloc lines 18-20) and
+// returns the advanced state. The words are staged through a stack
+// buffer, so no fill allocates.
+func (h *Heap) fillRandom(st uint64, ptr heap.Ptr, n int) (uint64, error) {
+	var buf [512]byte
+	var v uint32
+	for done := 0; done < n; {
+		chunk := buf[:min(n-done, len(buf))]
+		for i := 0; i+4 <= len(chunk); i += 4 {
 			st, v = rng.Step(st)
-			m := uint64(v) * uint64(n)
-			for uint32(m) < rejectBelow {
-				st, v = rng.Step(st)
-				m = uint64(v) * uint64(n)
-			}
-			local = int(m >> 32)
-			if sub.bits[local>>6]&(1<<(local&63)) == 0 {
-				break
-			}
+			binary.LittleEndian.PutUint32(chunk[i:], v)
 		}
-	} else {
-		for {
-			if probes == probeCap {
-				cl.randState = st
-				cl.mu.Unlock()
-				return heap.Null, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-			}
-			probes++
-			var v uint32
+		for i := len(chunk) &^ 3; i < len(chunk); i++ {
 			st, v = rng.Step(st)
-			m := uint64(v) * uint64(n)
-			for uint32(m) < rejectBelow {
-				st, v = rng.Step(st)
-				m = uint64(v) * uint64(n)
-			}
-			sub, local = regs.locate(int(m >> 32))
-			if sub.bits[local>>6]&(1<<(local&63)) == 0 {
-				break
-			}
+			chunk[i] = byte(v)
 		}
-	}
-	cl.randState = st
-	sub.set(local)
-	cl.inUse++
-	cl.mallocs++
-	ptr := sub.base + uint64(local)<<cl.shift
-	var fillErr error
-	if h.opts.RandomFill {
-		// Fill under the class lock, from the class stream: each
-		// class's sequence of fill values is deterministic in its own
-		// allocation order (Figure 2, DieHardMalloc lines 18-20).
-		fillErr = h.fillClassRandom(cl, ptr, cl.size)
-	}
-	cl.mu.Unlock()
-	if fillErr != nil {
-		return heap.Null, fillErr
-	}
-	h.addStat(&h.stats.Probes, uint64(probes))
-	h.addStat(&h.stats.WorkUnits,
-		heap.WorkSizeClass+uint64(probes)*heap.WorkProbe+heap.WorkBitmap)
-	h.countMalloc(size, cl.size)
-	if h.trace != nil {
-		h.trace.Emit(obs.EvMalloc, ptr)
-	}
-	if h.opts.OnAlloc != nil {
-		h.opts.OnAlloc(ptr, size, cl.size)
-	}
-	return ptr, nil
-}
-
-// fillClassRandom fills an allocated object from the class stream,
-// round-tripping the packed state through an MWC value. The caller holds
-// the class mutex (RandomFill implies the locked engine).
-func (h *Heap) fillClassRandom(cl *sizeClass, ptr heap.Ptr, n int) error {
-	r := rng.NewSeeded(cl.randState)
-	err := h.fillRandom(r, &cl.fillBuf, ptr, n)
-	cl.randState = r.Seed()
-	return err
-}
-
-// fillRandom fills an allocated object with random values drawn from the
-// given stream (Figure 2, DieHardMalloc lines 18-20). The caller holds
-// the lock guarding r and buf.
-func (h *Heap) fillRandom(r *rng.MWC, buf *[]byte, ptr heap.Ptr, n int) error {
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	b := (*buf)[:n]
-	for i := 0; i+4 <= n; i += 4 {
-		binary.LittleEndian.PutUint32(b[i:], r.Next())
-	}
-	for i := n &^ 3; i < n; i++ {
-		b[i] = byte(r.Next())
+		if err := h.space.WriteBytes(ptr+uint64(done), chunk); err != nil {
+			return st, err
+		}
+		done += len(chunk)
 	}
 	h.addStat(&h.stats.WorkUnits, uint64(n/8+1)*heap.WorkRandomFill)
-	return h.space.WriteBytes(ptr, b)
+	return st, nil
 }
 
 // allocateLargeObject serves requests above MaxObjectSize from a
@@ -1079,7 +1051,7 @@ func (h *Heap) allocateLargeObject(size int) (heap.Ptr, error) {
 	h.large[base] = lo
 	var fillErr error
 	if h.opts.RandomFill {
-		fillErr = h.fillRandom(&h.largeRand, &h.largeBuf, base, size)
+		h.largeRand, fillErr = h.fillRandom(h.largeRand, base, size)
 	}
 	h.largeMu.Unlock()
 	if fillErr != nil {
@@ -1126,7 +1098,7 @@ func (h *Heap) Free(p heap.Ptr) error {
 		// frees lose here (so the quarantine FIFO never holds duplicates
 		// on tagged heaps, and a release's bit-clear can never race a
 		// reallocated slot).
-		switch h.genFreePlain(sub, local) {
+		switch h.genFree(sub, local, 0) {
 		case genLose:
 			h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
 			return nil
@@ -1134,51 +1106,75 @@ func (h *Heap) Free(p heap.Ptr) error {
 			h.addStat(&h.stats.Retired, 1)
 			return nil
 		}
-		if h.opts.FreeFilter != nil && h.opts.FreeFilter(p, cl.size) {
-			h.quarantineHold(p)
-			return nil
-		}
-		h.genFinishFree(cl, sub, local, p)
-		return nil
 	}
-	if h.opts.FreeFilter != nil && sub.getAtomic(local) && h.opts.FreeFilter(p, cl.size) {
+	if h.opts.FreeFilter != nil && (sub.gens != nil || sub.getAtomic(local)) && h.opts.FreeFilter(p, cl.size) {
 		// Quarantine divert: the slot stays marked allocated (bit set,
 		// occupancy reserved), so the probe stream cannot re-issue it.
-		// The liveness pre-check only filters obviously dead pointers
-		// cheaply; the release's CAS-clear remains the one arbiter of
-		// racing frees, so a stale read here just enqueues a duplicate
-		// that loses (and is counted an IgnoredFree) at release time.
+		// On untagged heaps the liveness pre-check only filters obviously
+		// dead pointers cheaply; the release's bit-clear remains the one
+		// arbiter of racing frees, so a stale read here just enqueues a
+		// duplicate that loses (and is counted an IgnoredFree) at release
+		// time.
 		h.quarantineHold(p)
 		return nil
 	}
-	if h.lockfree {
-		if h.atomicStats {
-			// CAS release: of any set of racing frees of this pointer,
-			// exactly one clears the bit; the rest are double frees.
-			if !sub.casClear(local) {
-				h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
-				return nil
-			}
-			atomic.AddInt64(&cl.inUse, -1)
-		} else {
-			if !sub.get(local) {
-				h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
-				return nil
-			}
-			sub.clear(local)
-			cl.inUse--
-		}
-	} else {
-		cl.mu.Lock()
-		if !sub.get(local) {
-			cl.mu.Unlock()
-			h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
-			return nil
-		}
-		sub.clear(local)
-		cl.inUse--
-		cl.mu.Unlock()
+	// Of any set of racing frees of this pointer, exactly one clears the
+	// bit; the rest are double frees. On tagged heaps the clear follows
+	// a won transition and cannot fail.
+	if !h.freeSlot(cl, sub, local, p) {
+		h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
 	}
+	return nil
+}
+
+// clearSlot releases slot local's bitmap bit — by CAS on Concurrent
+// heaps, plainly on sequential ones — and reports whether this call
+// cleared it (false: the bit was already clear, a double free).
+func (h *Heap) clearSlot(sub *subregion, local int) bool {
+	if h.atomicStats {
+		return sub.casClear(local)
+	}
+	return sub.clearPlain(local)
+}
+
+// release arbitrates one free of slot local and applies the bit-clear
+// if it wins. On tagged heaps the generation transition decides —
+// against the fat tag gen, or plainly when gen is 0 — and a stale or
+// double free loses (genLose) while a slot at the ceiling retires; on
+// untagged heaps the bit-clear itself arbitrates. Occupancy and
+// statistics are the caller's, so batched paths can publish them once.
+func (h *Heap) release(sub *subregion, local int, gen uint64) genOutcome {
+	if sub.gens == nil {
+		if h.clearSlot(sub, local) {
+			return genWin
+		}
+		return genLose
+	}
+	if gen != 0 && !genValidTag(gen) {
+		return genLose
+	}
+	out := h.genFree(sub, local, uint32(gen))
+	if out == genWin {
+		h.clearSlot(sub, local)
+	}
+	return out
+}
+
+// freeSlot clears the bit of slot local (at p) and, if this call
+// cleared it, publishes the free: the occupancy unit, the work and free
+// counters, the trace event, and the OnFree hook. false means the bit
+// was already clear.
+func (h *Heap) freeSlot(cl *sizeClass, sub *subregion, local int, p heap.Ptr) bool {
+	// clearSlot's test, written out: this is the synchronous free's hot
+	// path, and clearSlot is over the inlining budget.
+	if h.atomicStats {
+		if !sub.casClear(local) {
+			return false
+		}
+	} else if !sub.clearPlain(local) {
+		return false
+	}
+	h.addInUse(cl, -1)
 	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
 	h.countFree(cl.size)
 	if h.trace != nil {
@@ -1187,7 +1183,7 @@ func (h *Heap) Free(p heap.Ptr) error {
 	if h.opts.OnFree != nil {
 		h.opts.OnFree(p, cl.size)
 	}
-	return nil
+	return true
 }
 
 // finishLargeFree completes the free of a large object after the caller
@@ -1265,29 +1261,11 @@ func (h *Heap) releaseHeld(p heap.Ptr) bool {
 		h.addStat(&h.stats.IgnoredFrees, 1)
 		return false
 	}
-	if h.atomicStats {
-		if !sub.casClear(local) {
-			h.addStat(&h.stats.IgnoredFrees, 1)
-			return false
-		}
-		atomic.AddInt64(&cl.inUse, -1)
-	} else {
-		if !sub.get(local) {
-			h.addStat(&h.stats.IgnoredFrees, 1)
-			return false
-		}
-		sub.clear(local)
-		cl.inUse--
+	if !h.freeSlot(cl, sub, local, p) {
+		h.addStat(&h.stats.IgnoredFrees, 1)
+		return false
 	}
-	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
 	h.addStat(&h.stats.QuarantineOut, 1)
-	h.countFree(cl.size)
-	if h.trace != nil {
-		h.trace.Emit(obs.EvFree, p)
-	}
-	if h.opts.OnFree != nil {
-		h.opts.OnFree(p, cl.size)
-	}
 	return true
 }
 
@@ -1361,24 +1339,10 @@ func (h *Heap) SizeOf(p heap.Ptr) (int, bool) {
 	if cl == nil || (p-sub.base)&cl.mask != 0 {
 		return 0, false
 	}
-	if !h.slotLive(cl, sub, local) {
+	if !sub.getAtomic(local) {
 		return 0, false
 	}
 	return cl.size, true
-}
-
-// slotLive reads slot local's bitmap bit under the engine's discipline:
-// an unlocked atomic load on the lock-free engine, a mutex-guarded plain
-// read on the locked engine (whose writers update words plainly under
-// the same mutex).
-func (h *Heap) slotLive(cl *sizeClass, sub *subregion, local int) bool {
-	if h.lockfree {
-		return sub.getAtomic(local)
-	}
-	cl.mu.Lock()
-	live := sub.get(local)
-	cl.mu.Unlock()
-	return live
 }
 
 // ObjectBounds resolves any pointer into the heap (including interior
@@ -1399,7 +1363,7 @@ func (h *Heap) ObjectBounds(p heap.Ptr) (start heap.Ptr, size int, ok bool) {
 	if cl == nil {
 		return 0, 0, false
 	}
-	if !h.slotLive(cl, sub, local) {
+	if !sub.getAtomic(local) {
 		return 0, 0, false
 	}
 	return sub.base + uint64(local)<<cl.shift, cl.size, true
@@ -1417,7 +1381,7 @@ func (h *Heap) SlotAt(addr heap.Ptr) (base heap.Ptr, size int, live, ok bool) {
 	if cl == nil {
 		return 0, 0, false, false
 	}
-	return sub.base + uint64(local)<<cl.shift, cl.size, h.slotLive(cl, sub, local), true
+	return sub.base + uint64(local)<<cl.shift, cl.size, sub.getAtomic(local), true
 }
 
 // FreeSlots calls fn with the base address of every currently free slot
@@ -1434,11 +1398,10 @@ func (h *Heap) FreeSlots(c int, fn func(p heap.Ptr) bool) {
 		slots int
 		bits  []uint64
 	}
-	// The mutex freezes the region list in both engines and the bitmaps
-	// in the locked engine; on the lock-free engine bitmap words are
-	// copied with atomic loads, so a sweep racing CAS claimants is
-	// consistent per word (the callers that need an exact view — the
-	// detection engine — are sequential anyway).
+	// The mutex freezes the region list; bitmap words are copied with
+	// atomic loads, so a sweep racing CAS claimants is consistent per
+	// word (the callers that need an exact view — the detection engine —
+	// are sequential anyway).
 	regs := cl.regions.Load()
 	snaps := make([]snap, len(regs.subs))
 	for i, sub := range regs.subs {
@@ -1507,30 +1470,18 @@ func (h *Heap) ClassSlots(c int) (total, maxInUse int) {
 	return cl.regions.Load().totalSlots, int(cl.maxInUse.Load())
 }
 
-// ClassInUse returns the number of live objects in class c: on the
-// lock-free engine an atomic read of the class occupancy counter, cheap
-// enough that the sharded front end consults it on every routed malloc.
+// ClassInUse returns the number of live objects in class c: an atomic
+// read of the class occupancy counter, cheap enough that the sharded
+// front end consults it on every routed malloc.
 func (h *Heap) ClassInUse(c int) int {
-	cl := &h.classes[c]
-	if h.lockfree {
-		return int(atomic.LoadInt64(&cl.inUse))
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return int(cl.inUse)
+	return int(atomic.LoadInt64(&h.classes[c].inUse))
 }
 
 // ClassMallocs returns the cumulative allocation count of class c,
 // exposed for workload-characterization experiments (e.g. verifying the
 // wide size mix of the 300.twolf analog).
 func (h *Heap) ClassMallocs(c int) uint64 {
-	cl := &h.classes[c]
-	if h.lockfree {
-		return atomic.LoadUint64(&cl.mallocs)
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.mallocs
+	return atomic.LoadUint64(&h.classes[c].mallocs)
 }
 
 // ClassBase returns the base address of the first subregion of class c,
@@ -1550,8 +1501,8 @@ func (h *Heap) LargeObjects() int {
 // class live counts match bitmap population, thresholds are respected,
 // and subregion accounting is consistent. Property tests call this after
 // randomized (including concurrent) workloads; each class is checked
-// under its own lock. On the lock-free engine the bitmap-population ==
-// inUse comparison is exact only at quiescence — every CAS winner pairs
+// under its own lock. The bitmap-population == inUse comparison is
+// exact only at quiescence — every CAS winner pairs
 // its bit with a counter reservation, but the two updates are not one
 // atomic step — which is precisely when the stress tests call it. Every
 // registered magazine is drained first (the drain barrier of DESIGN.md

@@ -60,7 +60,9 @@ const (
 // without Options.GenTags.
 var ErrNotGenTagged = errors.New("diehard: heap built without Options.GenTags")
 
-// genOutcome is the result of a generation free-transition attempt.
+// genOutcome is the result of a free arbitration: the generation
+// transition on tagged heaps, the bit-clear on untagged ones (which never
+// retire a slot).
 type genOutcome int
 
 const (
@@ -68,6 +70,10 @@ const (
 	genLose                        // stale or double free: reject
 	genRetireOut                   // slot retired at the generation ceiling
 )
+
+// freeTally counts a batch's release outcomes, indexed by genOutcome:
+// wins, ignored (§4.3 double frees), and retired slots.
+type freeTally [3]int
 
 // genClaim bumps the slot's generation even→odd after a won bitmap
 // claim. No-op on untagged heaps (one nil check on the malloc path).
@@ -82,96 +88,37 @@ func (h *Heap) genClaim(sub *subregion, local int) {
 	}
 }
 
-// genFreePlain arbitrates an untagged free of slot local on a tagged
-// heap: CAS the word odd→even (or into retirement at the ceiling).
-// genLose means the slot is already free, retired, or lost to a racing
-// free — the §4.3 ignore.
-func (h *Heap) genFreePlain(sub *subregion, local int) genOutcome {
+// genFree arbitrates a free of slot local on a tagged heap: CAS the
+// word odd→even, or into retirement at the ceiling. want != 0 is a fat
+// pointer's tag (validated odd and below genRetired) that the word must
+// still equal, so a stale pointer — freed, reallocated, quarantined, or
+// retired since issue — loses deterministically; want == 0 is an
+// untagged free, accepted against any live word. genLose means the slot
+// is already free, retired, stale, or lost to a racing free — the §4.3
+// ignore.
+func (h *Heap) genFree(sub *subregion, local int, want uint32) genOutcome {
 	g := &sub.gens[local]
-	if !h.atomicStats {
-		cur := *g
-		switch {
-		case cur&1 == 0 || cur == genRetired:
-			return genLose
-		case cur >= genRetireAt:
-			*g = genRetired
-			return genRetireOut
-		default:
-			*g = cur + 1
-			return genWin
-		}
-	}
 	for {
-		cur := atomic.LoadUint32(g)
-		if cur&1 == 0 || cur == genRetired {
+		var cur uint32
+		if h.atomicStats {
+			cur = atomic.LoadUint32(g)
+		} else {
+			cur = *g
+		}
+		if cur&1 == 0 || cur == genRetired || (want != 0 && cur != want) {
 			return genLose
 		}
+		next, out := cur+1, genWin
 		if cur >= genRetireAt {
-			if atomic.CompareAndSwapUint32(g, cur, genRetired) {
-				return genRetireOut
-			}
-			continue
+			next, out = genRetired, genRetireOut
 		}
-		if atomic.CompareAndSwapUint32(g, cur, cur+1) {
-			return genWin
+		if !h.atomicStats {
+			*g = next
+			return out
 		}
-	}
-}
-
-// genFreeFat arbitrates a fat free: the transition additionally demands
-// the slot's word equal the fat pointer's tag, so a stale pointer —
-// freed, reallocated, quarantined, or retired since issue — loses
-// deterministically. want has been validated odd and below genRetired.
-func (h *Heap) genFreeFat(sub *subregion, local int, want uint32) genOutcome {
-	g := &sub.gens[local]
-	if !h.atomicStats {
-		cur := *g
-		switch {
-		case cur != want:
-			return genLose
-		case cur >= genRetireAt:
-			*g = genRetired
-			return genRetireOut
-		default:
-			*g = cur + 1
-			return genWin
+		if atomic.CompareAndSwapUint32(g, cur, next) {
+			return out
 		}
-	}
-	for {
-		cur := atomic.LoadUint32(g)
-		if cur != want {
-			return genLose
-		}
-		if cur >= genRetireAt {
-			if atomic.CompareAndSwapUint32(g, cur, genRetired) {
-				return genRetireOut
-			}
-			continue
-		}
-		if atomic.CompareAndSwapUint32(g, cur, cur+1) {
-			return genWin
-		}
-	}
-}
-
-// genFinishFree applies the release a won free transition granted: the
-// bit-clear cannot fail (clears only follow won transitions, and claims
-// need a cleared bit first), so no arbitration remains.
-func (h *Heap) genFinishFree(cl *sizeClass, sub *subregion, local int, p heap.Ptr) {
-	if h.atomicStats {
-		sub.casClear(local)
-		atomic.AddInt64(&cl.inUse, -1)
-	} else {
-		sub.clear(local)
-		cl.inUse--
-	}
-	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
-	h.countFree(cl.size)
-	if h.trace != nil {
-		h.trace.Emit(obs.EvFree, p)
-	}
-	if h.opts.OnFree != nil {
-		h.opts.OnFree(p, cl.size)
 	}
 }
 
@@ -328,7 +275,7 @@ func (h *Heap) FreeFat(fp heap.FatPtr) (accepted bool, err error) {
 		h.noteStaleFree(p, fp.Gen)
 		return false, nil
 	}
-	switch h.genFreeFat(sub, local, uint32(fp.Gen)) {
+	switch h.genFree(sub, local, uint32(fp.Gen)) {
 	case genLose:
 		h.noteStaleFree(p, fp.Gen)
 		return false, nil
@@ -344,7 +291,7 @@ func (h *Heap) FreeFat(fp heap.FatPtr) (accepted bool, err error) {
 		h.quarantineHold(p)
 		return true, nil
 	}
-	h.genFinishFree(cl, sub, local, p)
+	h.freeSlot(cl, sub, local, p) // cannot fail after a won transition
 	return true, nil
 }
 

@@ -426,16 +426,9 @@ func TestGenTagPlacementUnchanged(t *testing.T) {
 	}
 }
 
-// TestGenTagValidation pins the construction contract: the tagged tier
-// needs the lock-free engine (the generation protocol leans on its
-// claim/clear ordering).
+// TestGenTagValidation pins the construction contract: tagged heaps
+// build sequential, and concurrent with a remote ring.
 func TestGenTagValidation(t *testing.T) {
-	if _, err := New(Options{GenTags: true, LockedHeap: true}); err == nil {
-		t.Error("GenTags with LockedHeap accepted")
-	}
-	if _, err := New(Options{GenTags: true, RandomFill: true}); err == nil {
-		t.Error("GenTags with RandomFill accepted")
-	}
 	if _, err := New(Options{GenTags: true}); err != nil {
 		t.Errorf("valid sequential GenTags heap refused: %v", err)
 	}
@@ -628,4 +621,41 @@ func TestFatPtrLifecycleRace(t *testing.T) {
 	}
 	t.Logf("race battery: %d mallocs, %d frees, %d stale rejections (%d replayed), %d quarantined, %d retired",
 		st.Mallocs, st.Frees, st.StaleFrees, staleAttempts.Load(), st.Quarantined, st.Retired)
+}
+
+// TestGenTagRandomFill runs the tagged tier on a replicated-mode heap:
+// the claim bump and the fill draws share the kernel, fat frees reject
+// stale tags, and the ledgers stay exact.
+func TestGenTagRandomFill(t *testing.T) {
+	h, err := New(Options{HeapSize: 12 << 20, Seed: 77, GenTags: true, RandomFill: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []heap.FatPtr
+	for i := 0; i < 200; i++ {
+		fp, err := h.MallocFat(16 + i%100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.CheckGen(fp) {
+			t.Fatalf("fresh fat pointer %v does not check", fp)
+		}
+		live = append(live, fp)
+	}
+	for _, fp := range live[:100] {
+		if ok, err := h.FreeFat(fp); !ok || err != nil {
+			t.Fatalf("FreeFat(%v) = %v, %v", fp, ok, err)
+		}
+	}
+	for _, fp := range live[:100] {
+		if ok, _ := h.FreeFat(fp); ok {
+			t.Fatalf("stale FreeFat(%v) accepted", fp)
+		}
+	}
+	if st := h.Stats(); st.StaleFrees != 100 || st.LiveObjects != 100 {
+		t.Errorf("StaleFrees = %d, LiveObjects = %d; want 100, 100", st.StaleFrees, st.LiveObjects)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

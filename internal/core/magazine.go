@@ -28,11 +28,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"diehard/internal/heap"
 	"diehard/internal/obs"
-	"diehard/internal/rng"
 )
 
 const (
@@ -63,8 +61,8 @@ type magFree struct {
 
 // classMagazine is one size class's local state: pre-claimed slots in
 // draw order, pending (unpublished) malloc counters, and the free
-// buffer. scratch is the refill's claim-undo buffer (class-wide slot
-// indexes), reused across refills so the hot loop allocates nothing.
+// buffer. The slot buffer is allocated once at MagazineMaxCap, so the
+// refill loop allocates nothing.
 type classMagazine struct {
 	owner          *Heap      // shard the claimed slots and pending stats belong to
 	slots          []heap.Ptr // pre-claimed slots, FIFO in stream draw order
@@ -73,7 +71,6 @@ type classMagazine struct {
 	pendingMallocs int        // popped slots not yet published to owner stats
 	pendingReq     uint64     // requested bytes of those pops
 	free           []magFree  // buffered frees awaiting batch publication
-	scratch        []int32    // refill claim indexes, for undo on CAS loss
 }
 
 // Magazine is a per-worker allocation front end over a lock-free
@@ -95,6 +92,8 @@ type classMagazine struct {
 type Magazine struct {
 	h       *Heap        // single-heap mode: the pinned heap
 	sh      *ShardedHeap // sharded mode: refills re-route by occupancy
+	heaps   []*Heap      // the heaps magFree.shard indexes: the shards, or just h
+	tally   []freeTally  // per-heap flush outcomes, reused across flushes
 	classes [NumClasses]classMagazine
 
 	// trace is the worker's flight-recorder ring (SetTrace): magazine
@@ -110,19 +109,14 @@ type Magazine struct {
 func (m *Magazine) SetTrace(r *obs.Ring) { m.trace = r }
 
 // NewMagazine returns a per-worker magazine over this heap. The heap
-// must run the lock-free engine (LockedHeap and RandomFill heaps
-// serialize on the class mutex anyway, so batching would buy nothing)
-// and must not have observation hooks installed: a detection engine
-// audits canaries at every alloc and free boundary, which is exactly
-// the per-operation precision batching gives up.
+// must not have observation hooks installed: a detection engine audits
+// canaries at every alloc and free boundary, which is exactly the
+// per-operation precision batching gives up.
 func (h *Heap) NewMagazine() (*Magazine, error) {
-	if !h.lockfree {
-		return nil, fmt.Errorf("diehard: magazines require the lock-free engine (not LockedHeap/RandomFill)")
-	}
 	if h.opts.OnAlloc != nil || h.opts.OnFree != nil {
 		return nil, fmt.Errorf("diehard: magazines cannot batch past per-operation observation hooks")
 	}
-	m := &Magazine{h: h}
+	m := &Magazine{h: h, heaps: []*Heap{h}}
 	m.init()
 	h.registerMagazine(m)
 	return m, nil
@@ -138,15 +132,17 @@ func (sh *ShardedHeap) NewMagazine() (*Magazine, error) {
 	if s := sh.shards[0]; s.opts.OnAlloc != nil || s.opts.OnFree != nil {
 		return nil, fmt.Errorf("diehard: magazines cannot batch past per-operation observation hooks")
 	}
-	m := &Magazine{sh: sh}
+	m := &Magazine{sh: sh, heaps: sh.shards}
 	m.init()
 	sh.registerMagazine(m)
 	return m, nil
 }
 
 func (m *Magazine) init() {
+	m.tally = make([]freeTally, len(m.heaps))
 	for c := range m.classes {
 		m.classes[c].cap = magInitialCap
+		m.classes[c].owner = m.h // nil in sharded mode until the first refill
 	}
 }
 
@@ -202,14 +198,10 @@ func (m *Magazine) Free(p heap.Ptr) error {
 		local int
 		shard int32
 	)
-	if m.sh == nil {
-		_, sub, local = m.h.find(p)
-	} else {
-		for i, s := range m.sh.shards {
-			if _, sub, local = s.find(p); sub != nil {
-				shard = int32(i)
-				break
-			}
+	for i, s := range m.heaps {
+		if _, sub, local = s.find(p); sub != nil {
+			shard = int32(i)
+			break
 		}
 	}
 	if sub == nil {
@@ -246,16 +238,20 @@ func (m *Magazine) refill(c int, cm *classMagazine) error {
 	if cm.cap < MagazineMaxCap {
 		cm.cap *= 2
 	}
+	if cm.slots == nil {
+		cm.slots = make([]heap.Ptr, 0, MagazineMaxCap)
+	}
+	buf := cm.slots[:want]
 	owner := m.h
 	if m.sh != nil {
 		owner = m.sh.refillShard(c)
 	}
-	got, err := owner.magazineRefill(c, want, &cm.slots, &cm.scratch)
+	got, err := owner.magazineRefill(c, buf)
 	if err != nil && m.sh != nil && errors.Is(err, heap.ErrOutOfMemory) {
 		tried := map[*Heap]bool{owner: true}
 		for len(tried) < len(m.sh.shards) {
 			next, _ := m.sh.emptiest(m.sh.classLoad(c), tried)
-			if got, err = next.magazineRefill(c, want, &cm.slots, &cm.scratch); err == nil {
+			if got, err = next.magazineRefill(c, buf); err == nil {
 				owner = next
 				break
 			}
@@ -269,7 +265,7 @@ func (m *Magazine) refill(c int, cm *classMagazine) error {
 		return err
 	}
 	cm.owner = owner
-	cm.slots = cm.slots[:got]
+	cm.slots = buf[:got]
 	cm.next = 0
 	if m.trace != nil {
 		m.trace.Emit(obs.EvRefill, uint64(got))
@@ -315,90 +311,19 @@ func (m *Magazine) flushFrees(c int, cm *classMagazine, sync bool) {
 	if m.trace != nil {
 		m.trace.Emit(obs.EvFlush, uint64(len(cm.free)))
 	}
-	if m.sh == nil {
-		// Single-heap magazines have exactly one owner: count wins and
-		// §4.3 ignores straight through, no per-shard accounting. On
-		// tagged heaps (DESIGN.md §15) the generation word arbitrates
+	for _, e := range cm.free {
+		s := m.heaps[e.shard]
+		if !sync && s != cm.owner && s.remote != nil &&
+			s.remote.enqueue(e.sub.base+uint64(e.local)<<e.sub.shift, 0) {
+			continue // the foreign owner will clear it at its next drain
+		}
+		// On tagged heaps (DESIGN.md §15) the generation word arbitrates
 		// each buffered free before its bit-clear, exactly as the
 		// synchronous path does.
-		wins, ignored, retired := 0, 0, 0
-		for _, e := range cm.free {
-			local := int(e.local)
-			if e.sub.gens != nil {
-				switch m.h.genFreePlain(e.sub, local) {
-				case genWin:
-					if m.h.atomicStats {
-						e.sub.casClear(local)
-					} else {
-						e.sub.clear(local)
-					}
-					wins++
-				case genRetireOut:
-					retired++
-				default:
-					ignored++
-				}
-				continue
-			}
-			if m.h.atomicStats {
-				if e.sub.casClear(local) {
-					wins++
-				} else {
-					ignored++
-				}
-			} else if e.sub.get(local) {
-				e.sub.clear(local)
-				wins++
-			} else {
-				ignored++
-			}
-		}
-		m.h.finishBatchedFrees(c, wins, ignored)
-		if retired > 0 {
-			m.h.addStat(&m.h.stats.Retired, uint64(retired))
-		}
-		cm.free = cm.free[:0]
-		return
+		m.tally[e.shard][s.release(e.sub, int(e.local), 0)]++
 	}
-	wins := make([]int, len(m.sh.shards))
-	ignored := make([]int, len(m.sh.shards))
-	var retired []int
-	for _, e := range cm.free {
-		if !sync {
-			if s := m.sh.shards[e.shard]; s != cm.owner && s.remote != nil &&
-				s.remote.enqueue(e.sub.base+uint64(e.local)<<e.sub.shift, 0) {
-				continue // the foreign owner will clear it at its next drain
-			}
-		}
-		local := int(e.local)
-		if e.sub.gens != nil {
-			switch m.sh.shards[e.shard].genFreePlain(e.sub, local) {
-			case genWin:
-				e.sub.casClear(local)
-				wins[e.shard]++
-			case genRetireOut:
-				if retired == nil {
-					retired = make([]int, len(m.sh.shards))
-				}
-				retired[e.shard]++
-			default:
-				ignored[e.shard]++
-			}
-			continue
-		}
-		if e.sub.casClear(local) { // shards are always concurrent
-			wins[e.shard]++
-		} else {
-			ignored[e.shard]++
-		}
-	}
-	for i, s := range m.sh.shards {
-		if wins[i] != 0 || ignored[i] != 0 {
-			s.finishBatchedFrees(c, wins[i], ignored[i])
-		}
-		if retired != nil && retired[i] != 0 {
-			s.addStat(&s.stats.Retired, uint64(retired[i]))
-		}
+	for i, s := range m.heaps {
+		s.finishBatchedFrees(c, &m.tally[i])
 	}
 	cm.free = cm.free[:0]
 }
@@ -423,59 +348,13 @@ func (m *Magazine) Drain() {
 }
 
 // returnClaims hands unconsumed pre-claimed slots back to their owner.
+// Only released slots give their occupancy unit back: a pre-claimed slot
+// stolen by a wild free already gave its unit back at that free, and a
+// retired one keeps its unit.
 func (m *Magazine) returnClaims(c int, cm *classMagazine) {
-	if cm.next == len(cm.slots) {
-		cm.slots = cm.slots[:0]
-		cm.next = 0
-		return
-	}
-	owner := cm.owner
-	cl := &owner.classes[c]
-	wins := 0
-	retired := 0
-	for _, p := range cm.slots[cm.next:] {
-		_, sub, local := owner.find(p)
-		if sub.gens != nil {
-			// Tagged heap: the refill's claim bumped the slot odd, so the
-			// return is a normal generation free-transition. A wild free
-			// that stole the slot already transitioned it (and gave the
-			// unit back); the lose branch skips it exactly as the
-			// bit-test does below.
-			switch owner.genFreePlain(sub, local) {
-			case genWin:
-				if owner.atomicStats {
-					sub.casClear(local)
-				} else {
-					sub.clear(local)
-				}
-				wins++
-			case genRetireOut:
-				retired++
-			}
-			continue
-		}
-		if owner.atomicStats {
-			if sub.casClear(local) {
-				wins++
-			}
-		} else if sub.get(local) {
-			sub.clear(local)
-			wins++
-		}
-	}
-	if retired > 0 {
-		// Retired slots keep their bit and their occupancy unit forever;
-		// they were never served, so nothing else is counted.
-		owner.addStat(&owner.stats.Retired, uint64(retired))
-	}
-	// Only winners release occupancy: a pre-claimed slot stolen by a
-	// wild free already gave its unit back at that free's flush.
-	if wins > 0 {
-		if owner.atomicStats {
-			atomic.AddInt64(&cl.inUse, -int64(wins))
-		} else {
-			cl.inUse -= int64(wins)
-		}
+	if cm.next < len(cm.slots) {
+		owner := cm.owner
+		owner.addInUse(&owner.classes[c], -int64(owner.unclaim(cm.slots[cm.next:])))
 	}
 	cm.slots = cm.slots[:0]
 	cm.next = 0
@@ -524,18 +403,14 @@ func (h *Heap) DrainMagazines() {
 	}
 }
 
-// finishBatchedFrees publishes a flush batch's outcome for this heap:
-// wins release occupancy and count as frees in one shot; losers are the
-// §4.3 double frees, detected (their CAS found the bit already clear)
-// and ignored.
-func (h *Heap) finishBatchedFrees(c, wins, ignored int) {
-	if wins > 0 {
+// finishBatchedFrees publishes a flush batch's outcome for this heap
+// and resets the tally: wins release occupancy and count as frees in one
+// shot; losers are the §4.3 double frees, detected (their release found
+// the slot already free) and ignored; retired slots keep their unit.
+func (h *Heap) finishBatchedFrees(c int, t *freeTally) {
+	if wins := t[genWin]; wins > 0 {
 		cl := &h.classes[c]
-		if h.atomicStats {
-			atomic.AddInt64(&cl.inUse, -int64(wins))
-		} else {
-			cl.inUse -= int64(wins)
-		}
+		h.addInUse(cl, -int64(wins))
 		h.addStat(&h.stats.WorkUnits, uint64(wins)*heap.WorkBitmap)
 		if h.atomicStats {
 			heap.CountFreeBatchAtomic(&h.stats, wins, uint64(wins)*uint64(cl.size))
@@ -543,240 +418,21 @@ func (h *Heap) finishBatchedFrees(c, wins, ignored int) {
 			heap.CountFreeBatch(&h.stats, wins, uint64(wins)*uint64(cl.size))
 		}
 	}
-	if ignored > 0 {
-		h.addStat(&h.stats.IgnoredFrees, uint64(ignored))
+	if t[genLose] > 0 {
+		h.addStat(&h.stats.IgnoredFrees, uint64(t[genLose]))
 	}
+	if t[genRetireOut] > 0 {
+		h.addStat(&h.stats.Retired, uint64(t[genRetireOut]))
+	}
+	*t = freeTally{}
 }
 
-// reserveBatch claims up to want units of class occupancy (at least
-// one) with one bounded CAS increment — the batched analog of reserve:
-// the threshold test and the whole batch increment are one atomic step,
-// so the 1/M invariant holds at every instant. At the threshold it
-// takes whatever partial batch remains, grows (adaptive heaps), or
-// reports out of memory.
-func (h *Heap) reserveBatch(c, want int) (int, error) {
-	cl := &h.classes[c]
-	replays := 0
-	for {
-		cur := atomic.LoadInt64(&cl.inUse)
-		if avail := cl.maxInUse.Load() - cur; avail > 0 {
-			take := int64(want)
-			if take > avail {
-				take = avail
-			}
-			if !h.atomicStats {
-				cl.inUse = cur + take
-				return int(take), nil
-			}
-			if atomic.CompareAndSwapInt64(&cl.inUse, cur, cur+take) {
-				if replays > 0 {
-					h.addStat(&h.stats.CASRetries, uint64(replays))
-				}
-				return int(take), nil
-			}
-			replays++
-			backoffSpin(replays, uint32(cur))
-			continue
-		}
-		// At threshold: absorb queued remote frees before growing or
-		// failing, exactly as reserve does (DESIGN.md §12).
-		if h.remote != nil && h.drainRemote(c) > 0 {
-			continue
-		}
-		if !h.opts.Adaptive {
-			return 0, heap.ErrOutOfMemory
-		}
-		if err := h.growClass(c); err != nil {
-			return 0, err
-		}
-	}
-}
-
-// magazineRefill claims up to want slots of class c for a magazine:
-// one batched occupancy reservation, then slots drawn and claimed
-// one-by-one against a register-resident copy of the class stream
-// (rng.Batch) — each draw seeing its batch predecessors' bits exactly
-// as the unbatched probe loop would — and the whole advance published
-// with a single CAS. If that CAS loses, a racing consumer advanced the
-// stream first: the claims are undone and the refill replays from the
-// fresh state (with backoff; losses surface in Stats.CASRetries), so a
-// committed refill is always a contiguous prefix of the class stream.
-// At one goroutine the CAS never loses, which makes the sequence of
-// claimed slots bit-identical to want back-to-back unbatched mallocs.
-func (h *Heap) magazineRefill(c, want int, out *[]heap.Ptr, scratch *[]int32) (int, error) {
-	// Refill is the owner's natural housekeeping point: apply whatever
-	// the remote-free ring has accumulated (opportunistically — if
-	// another goroutine is mid-drain, skip) before reserving occupancy,
-	// so queued frees keep feeding the classes being refilled.
+// magazineRefill claims up to len(buf) slots of class c for a magazine
+// through the allocation kernel. Refill is the owner's natural housekeeping
+// point: it first applies whatever the remote-free ring has accumulated
+// (opportunistically — if another goroutine is mid-drain, skip), so
+// queued frees keep feeding the classes being refilled.
+func (h *Heap) magazineRefill(c int, buf []heap.Ptr) (int, error) {
 	h.tryDrainRemote()
-	cl := &h.classes[c]
-	got, err := h.reserveBatch(c, want)
-	if err != nil {
-		h.addStat(&h.stats.FailedMallocs, 1)
-		return 0, err
-	}
-	// idxs remembers each claim's class-wide slot index for undo on a
-	// lost publication CAS; slots accumulates the handed-out addresses
-	// in draw order. Both live in caller-owned scratch (idxs holds no
-	// pointers), so a steady-state refill allocates nothing.
-	idxs := (*scratch)[:0]
-	slots := (*out)[:0]
-	probes := 0
-	replays := 0
-	for {
-		regs := cl.regions.Load()
-		n := uint32(regs.totalSlots)
-		single := len(regs.subs) == 1
-		rejectBelow := -n % n
-		b := rng.StartBatch(atomic.LoadUint64(&cl.randState))
-		idxs = idxs[:0]
-		slots = slots[:0]
-		overflowed := false
-		probeCap := 64*regs.totalSlots + 64
-		if single && !h.atomicStats {
-			// Every non-adaptive sequential heap: one subregion, no
-			// fences — the bitmap words are addressed directly and the
-			// whole claim loop runs register-to-register, mirroring
-			// mallocLocked's specialized inner loop.
-			sub := regs.subs[0]
-			bitsW := sub.bits
-			gensW := sub.gens
-			base, shift := sub.base, cl.shift
-			for len(idxs) < got {
-				if probes >= probeCap {
-					overflowed = true
-					break
-				}
-				probes++
-				// Lemire multiply-shift with rejection on the batch
-				// cursor: the identical draw stream to the unbatched
-				// probe loops (b.Next inlines to rng.Step).
-				m := uint64(b.Next()) * uint64(n)
-				for uint32(m) < rejectBelow {
-					m = uint64(b.Next()) * uint64(n)
-				}
-				local := int(m >> 32)
-				w, bit := local>>6, uint64(1)<<(local&63)
-				if bitsW[w]&bit != 0 {
-					continue
-				}
-				// Claim as drawn, so each draw probes the bitmap state
-				// its unbatched twin would see.
-				bitsW[w] |= bit
-				if gensW != nil {
-					gensW[local]++ // tagged claim bump, sequential engine
-				}
-				idxs = append(idxs, int32(local))
-				slots = append(slots, base+uint64(local)<<shift)
-			}
-		} else {
-			for len(idxs) < got {
-				if probes >= probeCap {
-					overflowed = true
-					break
-				}
-				probes++
-				m := uint64(b.Next()) * uint64(n)
-				for uint32(m) < rejectBelow {
-					m = uint64(b.Next()) * uint64(n)
-				}
-				idx := int(m >> 32)
-				sub, local := regs.subs[0], idx
-				if !single {
-					sub, local = regs.locate(idx)
-				}
-				if h.atomicStats {
-					if !sub.casSet(local) {
-						continue
-					}
-				} else {
-					if sub.get(local) {
-						continue
-					}
-					sub.set(local)
-				}
-				h.genClaim(sub, local)
-				idxs = append(idxs, int32(idx))
-				slots = append(slots, sub.base+uint64(local)<<cl.shift)
-			}
-		}
-		if overflowed {
-			// Metadata-accounting failure (the same astronomically
-			// unlikely guard the unbatched loop carries): undo and
-			// release everything this refill holds. Claims that retired
-			// at undo keep their occupancy unit.
-			retired := h.undoClaims(regs, idxs)
-			if h.atomicStats {
-				atomic.AddInt64(&cl.inUse, -int64(got-retired))
-			} else {
-				cl.inUse -= int64(got - retired)
-			}
-			return 0, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-		}
-		if !h.atomicStats {
-			cl.randState = b.State()
-			cl.mallocs += uint64(got)
-			break
-		}
-		if atomic.CompareAndSwapUint64(&cl.randState, b.Start(), b.State()) {
-			atomic.AddUint64(&cl.mallocs, uint64(got))
-			break
-		}
-		// A racing consumer advanced the stream: this batch's draws are
-		// no longer the stream prefix, so un-claim and replay. A claim
-		// that retired at undo keeps its unit; shrink the batch so the
-		// replay's claims still balance the original reservation.
-		got -= h.undoClaims(regs, idxs)
-		replays++
-		backoffSpin(replays, uint32(b.State()))
-	}
-	if replays > 0 {
-		h.addStat(&h.stats.CASRetries, uint64(replays))
-	}
-	*out = slots
-	*scratch = idxs
-	h.addStat(&h.stats.Probes, uint64(probes))
-	h.addStat(&h.stats.WorkUnits,
-		uint64(got)*(heap.WorkSizeClass+heap.WorkBitmap)+uint64(probes)*heap.WorkProbe)
-	return got, nil
-}
-
-// undoClaims releases the bitmap bits of an abandoned refill attempt,
-// resolving each claim's class-wide index against the region list the
-// claims were made under. On tagged heaps each undo is a generation
-// free-transition (the claim bumped the slot odd): a wild free that
-// stole the claim in the meantime already transitioned it, and a slot
-// at the generation ceiling retires — the returned count tells the
-// caller how many occupancy units stay permanently consumed.
-func (h *Heap) undoClaims(regs *classRegions, idxs []int32) int {
-	single := len(regs.subs) == 1
-	retired := 0
-	for _, idx := range idxs {
-		sub, local := regs.subs[0], int(idx)
-		if !single {
-			sub, local = regs.locate(int(idx))
-		}
-		if sub.gens != nil {
-			switch h.genFreePlain(sub, local) {
-			case genWin:
-				if h.atomicStats {
-					sub.casClear(local)
-				} else {
-					sub.clear(local)
-				}
-			case genRetireOut:
-				retired++
-			}
-			continue
-		}
-		if h.atomicStats {
-			sub.casClear(local)
-		} else {
-			sub.clear(local)
-		}
-	}
-	if retired > 0 {
-		h.addStat(&h.stats.Retired, uint64(retired))
-	}
-	return retired
+	return h.claim(c, buf)
 }

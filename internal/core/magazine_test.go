@@ -23,49 +23,62 @@ import (
 // refill's batched draw is a contiguous prefix of the per-class MWC
 // sequence, and claims made as drawn see the identical bitmap states.
 // This is the property that keeps the golden campaign recordings
-// meaningful with magazines in the stack.
+// meaningful with magazines in the stack. On a replicated-mode
+// (RandomFill) heap the fill words interleave with the probe draws in
+// the same prefix, so the two heaps' snapshots — fill bytes included —
+// must not diverge either.
 func TestMagazinePrefixPlacement(t *testing.T) {
 	const seed = 99
 	const perClass = 200 // spans several refills: 8+16+32+64+64+...
 	sizes := []int{8, 17, 100, 1000, MaxObjectSize}
 
-	// 96 MB: the 16 KB class needs 200 live slots below its 1/M
-	// threshold (200 * 16 KB * 2 * NumClasses = 75 MB minimum).
-	plain, err := New(Options{HeapSize: 96 << 20, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	magged, err := New(Options{HeapSize: 96 << 20, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := magged.NewMagazine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range sizes {
-		for i := 0; i < perClass; i++ {
-			want, err := plain.Malloc(size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := m.Malloc(size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("size %d malloc %d: magazine placed %#x, unbatched engine %#x",
-					size, i, got, want)
+	for _, randomFill := range []bool{false, true} {
+		// 96 MB: the 16 KB class needs 200 live slots below its 1/M
+		// threshold (200 * 16 KB * 2 * NumClasses = 75 MB minimum).
+		opts := Options{HeapSize: 96 << 20, Seed: seed, RandomFill: randomFill}
+		plain, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		magged, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := magged.NewMagazine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range sizes {
+			for i := 0; i < perClass; i++ {
+				want, err := plain.Malloc(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.Malloc(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("randomFill=%v size %d malloc %d: magazine placed %#x, unbatched engine %#x",
+						randomFill, size, i, got, want)
+				}
 			}
 		}
-	}
-	// Frees through the magazine release the same slots the unbatched
-	// engine releases, so continued allocation stays in lockstep
-	// (magazine frees batch their bitmap clears, but the stream is
-	// untouched by frees in both engines).
-	m.Drain()
-	if err := magged.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		m.Drain()
+		if err := magged.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		a, err := plain.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := magged.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if div := DiffSnapshots(a, b); len(div) != 0 {
+			t.Fatalf("randomFill=%v: unbatched and magazine heaps diverge: %v", randomFill, div)
+		}
 	}
 }
 
@@ -376,16 +389,9 @@ func TestMagazineInvalidFrees(t *testing.T) {
 	}
 }
 
-// TestMagazineEngineGates pins the construction gates: magazines refuse
-// the locked engine and hooked (detection) heaps.
+// TestMagazineEngineGates pins the construction gate: magazines refuse
+// hooked (detection) heaps.
 func TestMagazineEngineGates(t *testing.T) {
-	locked, err := New(Options{HeapSize: 48 << 20, Seed: 1, LockedHeap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := locked.NewMagazine(); err == nil {
-		t.Error("NewMagazine on a LockedHeap engine succeeded; want error")
-	}
 	hooked, err := New(Options{HeapSize: 48 << 20, Seed: 1, OnAlloc: func(heap.Ptr, int, int) {}})
 	if err != nil {
 		t.Fatal(err)

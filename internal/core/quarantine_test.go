@@ -251,16 +251,49 @@ func TestIdleHooksPreserveLayout(t *testing.T) {
 	}
 }
 
-// TestFreeFilterRequiresLockFree: the quarantine's deferred-clear
-// arbitration is written against the CAS engine; the locked/RandomFill
-// engines must refuse the option instead of silently racing.
-func TestFreeFilterRequiresLockFree(t *testing.T) {
+// TestFreeFilterRandomFill runs the quarantine on a replicated-mode
+// heap: held slots keep their bit and occupancy, double frees of held
+// pointers are ignored at release, and the flush leaves exact ledgers.
+func TestFreeFilterRandomFill(t *testing.T) {
 	filter := func(heap.Ptr, int) bool { return true }
-	if _, err := New(Options{HeapSize: 12 << 20, LockedHeap: true, FreeFilter: filter}); err == nil {
-		t.Error("LockedHeap + FreeFilter accepted")
+	h, err := New(Options{HeapSize: 12 << 20, Seed: 5, RandomFill: true, FreeFilter: filter, QuarantineCap: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Options{HeapSize: 12 << 20, RandomFill: true, FreeFilter: filter}); err == nil {
-		t.Error("RandomFill + FreeFilter accepted")
+	ptrs := make([]heap.Ptr, 40)
+	for i := range ptrs {
+		if ptrs[i], err = h.Malloc(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range ptrs {
+		if err := h.Free(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.Free(ptrs[len(ptrs)-1]); err != nil { // double free of a held slot
+		t.Fatal(err)
+	}
+	// 41 holds through a cap of 16: 25 evictions released, 15 distinct
+	// slots held plus the duplicate.
+	if got := h.QuarantineLen(); got != 16 {
+		t.Errorf("QuarantineLen = %d, want the cap 16", got)
+	}
+	if got := h.ClassInUse(ClassFor(64)); got != 15 {
+		t.Errorf("held slots keep %d occupancy units, want 15", got)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if released := h.FlushQuarantine(); released != 15 {
+		t.Errorf("FlushQuarantine released %d, want 15 (one duplicate ignored)", released)
+	}
+	st := h.Stats()
+	if st.Frees != 40 || st.LiveObjects != 0 || st.IgnoredFrees != 1 {
+		t.Errorf("Frees %d, LiveObjects %d, IgnoredFrees %d; want 40, 0, 1", st.Frees, st.LiveObjects, st.IgnoredFrees)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

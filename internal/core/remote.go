@@ -200,9 +200,8 @@ func (h *Heap) tryDrainRemote() {
 
 func (h *Heap) drainRemoteLocked(want int) int {
 	r := h.remote
-	var wins, ignored [NumClasses]int32
-	stale, retired := 0, 0
-	total := 0
+	var tally [NumClasses]freeTally
+	stale, total := 0, 0
 	for total <= int(r.mask) {
 		addr, gen, ok := r.dequeue()
 		if !ok {
@@ -216,57 +215,30 @@ func (h *Heap) drainRemoteLocked(want int) int {
 			h.addStat(&h.stats.IgnoredFrees, 1)
 			continue
 		}
-		c := int(sub.shift) - minObjectShift
-		if sub.gens != nil {
-			// Tagged heap (DESIGN.md §15): the generation word arbitrates
-			// here exactly as it does on the synchronous paths — a fat
-			// entry whose tag went stale during the deferral (including
-			// across a reallocation) is rejected, not mistaken for the
-			// new incarnation's free.
-			var out genOutcome
-			if gen != 0 {
-				if !genValidTag(gen) {
-					out = genLose
-				} else {
-					out = h.genFreeFat(sub, local, uint32(gen))
-				}
-			} else {
-				out = h.genFreePlain(sub, local)
-			}
-			switch out {
-			case genWin:
-				sub.casClear(local)
-				wins[c]++
-			case genRetireOut:
-				retired++
-			default:
-				if gen != 0 {
-					stale++
-					if h.trace != nil {
-						h.trace.Emit(obs.EvStaleFree, addr)
-					}
-				} else {
-					ignored[c]++
-				}
+		// On tagged heaps (DESIGN.md §15) the generation word arbitrates
+		// here exactly as it does on the synchronous paths — a fat entry
+		// whose tag went stale during the deferral (including across a
+		// reallocation) is rejected, not mistaken for the new
+		// incarnation's free.
+		out := h.release(sub, local, gen)
+		if out == genLose && gen != 0 {
+			stale++
+			if h.trace != nil {
+				h.trace.Emit(obs.EvStaleFree, addr)
 			}
 			continue
 		}
-		if sub.casClear(local) {
-			wins[c]++
-		} else {
-			ignored[c]++
-		}
+		tally[int(sub.shift)-minObjectShift][out]++
 	}
-	for c := range wins {
-		if wins[c] != 0 || ignored[c] != 0 {
-			h.finishBatchedFrees(c, int(wins[c]), int(ignored[c]))
-		}
+	won := total
+	if want >= 0 {
+		won = tally[want][genWin]
+	}
+	for c := range tally {
+		h.finishBatchedFrees(c, &tally[c])
 	}
 	if stale > 0 {
 		h.addStat(&h.stats.StaleFrees, uint64(stale))
-	}
-	if retired > 0 {
-		h.addStat(&h.stats.Retired, uint64(retired))
 	}
 	if total > 0 {
 		h.addStat(&h.stats.RemoteFrees, uint64(total))
@@ -275,8 +247,5 @@ func (h *Heap) drainRemoteLocked(want int) int {
 			h.trace.Emit(obs.EvDrain, uint64(total))
 		}
 	}
-	if want >= 0 {
-		return int(wins[want])
-	}
-	return total
+	return won
 }

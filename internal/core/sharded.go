@@ -31,8 +31,8 @@ import (
 //
 // Unpinned mallocs are routed by occupancy (DESIGN.md §10): the request
 // steals a slot from the shard whose target size class is emptiest right
-// now, read from the per-shard atomic occupancy counters the lock-free
-// engine maintains anyway. Shards are equal-sized, so comparing raw
+// now, read from the per-shard atomic occupancy counters the allocation
+// kernel maintains anyway. Shards are equal-sized, so comparing raw
 // counts compares fullness — the slot-granular analog of Hoard stealing
 // the emptiest superblock — and skewed worker load can no longer drive
 // one shard into its 1/M threshold while its siblings sit empty.
@@ -105,10 +105,9 @@ func NewSharded(n int, opts Options) (*ShardedHeap, error) {
 		so := o
 		so.HeapSize = perShard
 		so.Seed = master.Split().Seed()
+		// The router's unlocked occupancy reads are only race-free
+		// against atomic writers.
 		so.Concurrent = true
-		// Shards always run the lock-free engine: the router's unlocked
-		// occupancy reads are only race-free against atomic writers.
-		so.LockedHeap = false
 		h, err := newHeap(so, sh.space)
 		if err != nil {
 			return nil, fmt.Errorf("diehard: shard %d: %w", i, err)

@@ -42,10 +42,10 @@ func (h *Heap) Snapshot() ([]ObjectRecord, error) {
 		for s := range regs.subs {
 			sub := regs.subs[s]
 			for i := 0; i < sub.slots; i++ {
-				// Atomic bit read: on the lock-free engine the class
-				// mutex no longer excludes CAS claimants, so the scan
-				// must load words atomically (the quiescence the doc
-				// asks for is what makes the result meaningful).
+				// Atomic bit read: the class mutex does not exclude CAS
+				// claimants, so the scan must load words atomically (the
+				// quiescence the doc asks for is what makes the result
+				// meaningful).
 				if !sub.getAtomic(i) {
 					continue
 				}
