@@ -211,9 +211,10 @@ func (p pinnedShard) Mem() *vmem.Space                  { return p.sh.Mem() }
 func (p pinnedShard) Stats() *heap.Stats                { return p.sh.Stats() }
 func (p pinnedShard) Name() string                      { return "pinned-" + p.shard.Name() }
 
-// TestShardedRouting checks cross-shard pointer resolution: an object
-// allocated in any shard is sized, bounded, and freed correctly through
-// the router, and foreign pointers are ignored.
+// TestShardedRouting checks cross-shard pointer resolution: a small and
+// a large object allocated in every shard route to that shard and are
+// sized, bounded, and freed correctly through the router; a freed large
+// pointer routes nowhere; and foreign pointers are ignored.
 func TestShardedRouting(t *testing.T) {
 	sh, err := NewSharded(3, Options{HeapSize: 36 << 20, Seed: 5})
 	if err != nil {
@@ -221,18 +222,36 @@ func TestShardedRouting(t *testing.T) {
 	}
 	var ptrs []heap.Ptr
 	for i := 0; i < sh.Shards(); i++ {
-		p, err := sh.Shard(i).Malloc(100)
-		if err != nil {
-			t.Fatal(err)
+		for _, size := range []int{100, MaxObjectSize + 1} {
+			p, err := sh.Shard(i).Malloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sh.owner(p); got != sh.Shard(i) {
+				t.Errorf("size %d from shard %d: owner is %p, want %p", size, i, got, sh.Shard(i))
+			}
+			ptrs = append(ptrs, p)
 		}
-		ptrs = append(ptrs, p)
 	}
-	// Large object from the last shard.
-	lp, err := sh.Shard(2).Malloc(MaxObjectSize + 1)
+	// A freed large object is unmapped and owned by nobody: its second
+	// free must be ignored, not routed.
+	lp, err := sh.Shard(1).Malloc(2 * MaxObjectSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptrs = append(ptrs, lp)
+	if err := sh.Free(lp); err != nil {
+		t.Fatal(err)
+	}
+	if got := sh.owner(lp); got != nil {
+		t.Errorf("freed large pointer %#x routes to %p", lp, got)
+	}
+	ignored := sh.Stats().IgnoredFrees
+	if err := sh.Free(lp); err != nil {
+		t.Fatal(err)
+	}
+	if got := sh.Stats().IgnoredFrees; got != ignored+1 {
+		t.Errorf("second free of a large pointer: IgnoredFrees %d -> %d, want +1", ignored, got)
+	}
 
 	for _, p := range ptrs {
 		if sz, ok := sh.SizeOf(p); !ok || sz < 100 {
@@ -314,8 +333,8 @@ func TestIndexPublicationOutOfOrder(t *testing.T) {
 	cl := &h.classes[0]
 	low := &subregion{base: end + 4*vmem.PageSize, slots: 512, cl: cl, shift: cl.shift}
 	high := &subregion{base: end + 16*vmem.PageSize, slots: 512, cl: cl, shift: cl.shift}
-	h.indexSubregion(high, high.base, uint64(high.slots)<<high.shift)
-	h.indexSubregion(low, low.base, uint64(low.slots)<<low.shift)
+	h.indexSubregions(high)
+	h.indexSubregions(low)
 
 	if _, sub, _ := h.find(high.base); sub != high {
 		t.Fatal("late lower-address publication truncated higher-address index entries")

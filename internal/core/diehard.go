@@ -257,6 +257,11 @@ type subregion struct {
 	shift uint
 }
 
+// endPn is one past the last page number the subregion's slots occupy.
+func (s *subregion) endPn() uint64 {
+	return (s.base + uint64(s.slots)<<s.shift + vmem.PageSize - 1) / vmem.PageSize
+}
+
 func (s *subregion) get(i int) bool { return s.bits[i>>6]&(1<<(i&63)) != 0 }
 func (s *subregion) set(i int)      { s.bits[i>>6] |= 1 << (i & 63) }
 
@@ -522,6 +527,7 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 		})
 	}
 
+	var subs [NumClasses]*subregion
 	for c := 0; c < NumClasses; c++ {
 		size := MinObjectSize << c
 		capSlots := perClass / size
@@ -546,23 +552,20 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 				initial = capSlots
 			}
 		}
-		if err := h.addSubregion(c, initial); err != nil {
+		sub, err := h.mapSubregion(c, initial)
+		if err != nil {
 			return nil, err
 		}
+		subs[c] = sub
 	}
+	h.addSubregions(subs[:]...)
 	h.largeRand = master.Split().Seed()
 	return h, nil
 }
 
-// addSubregion maps a new stretch of slots for class c, recomputes the
-// 1/M threshold, and registers the new pages in the page index. The
-// caller holds the class mutex (or is the constructor). Publication
-// order matters for the unlocked readers: the page index is extended
-// first (so any pointer handed out of the new subregion resolves), then
-// the region list (so probes can land there), and the threshold is
-// raised last (so no occupancy is reserved for slots that are not yet
-// probe-visible).
-func (h *Heap) addSubregion(c, slots int) error {
+// mapSubregion maps a new stretch of slots for class c and returns it,
+// not yet visible to any reader; addSubregions publishes it.
+func (h *Heap) mapSubregion(c, slots int) (*subregion, error) {
 	cl := &h.classes[c]
 	bytes := slots * cl.size
 	if bytes < vmem.PageSize {
@@ -571,7 +574,7 @@ func (h *Heap) addSubregion(c, slots int) error {
 	}
 	base, err := h.space.MapGuarded(bytes)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
 	sub := &subregion{
@@ -584,53 +587,70 @@ func (h *Heap) addSubregion(c, slots int) error {
 	if h.opts.GenTags {
 		sub.gens = make([]uint32, slots)
 	}
-	h.indexSubregion(sub, base, uint64(slots)<<cl.shift)
-	next := &classRegions{totalSlots: slots}
-	if cur := cl.regions.Load(); cur != nil {
-		next.subs = append(next.subs, cur.subs...)
-		next.totalSlots += cur.totalSlots
-	}
-	next.subs = append(next.subs, sub)
-	if n := uint32(next.totalSlots); n > 0 {
-		next.rejectBelow = -n % n
-	}
-	cl.regions.Store(next)
-	cl.maxInUse.Store(int64(float64(next.totalSlots) / h.opts.M))
-	return nil
+	return sub, nil
 }
 
-// indexSubregion records every page of [base, base+bytes) in the page
-// index. The published table is immutable; this builds and publishes a
-// copy, serialized by idxMu so concurrent growth in different classes
-// cannot lose updates. Subregion bases are handed out in increasing
-// address order, so the table only ever grows at the high end; pages
-// mapped in between for other purposes (guards, large objects) stay nil.
-func (h *Heap) indexSubregion(sub *subregion, base, bytes uint64) {
+// addSubregions publishes freshly mapped subregions: it registers their
+// pages in the page index, appends each to its class's region list, and
+// recomputes that class's 1/M threshold. The caller holds the class
+// mutex of every subregion's class (or is the constructor). Publication
+// order matters for the unlocked readers: the page index is extended
+// first (so any pointer handed out of a new subregion resolves), then
+// the region list (so probes can land there), and the threshold is
+// raised last (so no occupancy is reserved for slots that are not yet
+// probe-visible).
+func (h *Heap) addSubregions(subs ...*subregion) {
+	h.indexSubregions(subs...)
+	for _, sub := range subs {
+		cl := sub.cl
+		next := &classRegions{totalSlots: sub.slots}
+		if cur := cl.regions.Load(); cur != nil {
+			next.subs = append(next.subs, cur.subs...)
+			next.totalSlots += cur.totalSlots
+		}
+		next.subs = append(next.subs, sub)
+		if n := uint32(next.totalSlots); n > 0 {
+			next.rejectBelow = -n % n
+		}
+		cl.regions.Store(next)
+		cl.maxInUse.Store(int64(float64(next.totalSlots) / h.opts.M))
+	}
+}
+
+// indexSubregions records every page of each subregion in the page
+// index. The published table is immutable; this builds one copy that
+// covers the current table and every new subregion, fills it and
+// publishes it, serialized by idxMu so concurrent growth in different
+// classes cannot lose updates. Construction indexes all classes in one
+// call, so the table is allocated and filled once per heap rather than
+// copied once per class. The copy spans the union of the old coverage
+// and the new subregions: under concurrent adaptive growth, the class
+// that mapped lower addresses may publish after the one that mapped
+// higher ones, so a new subregion's end can be short of the current
+// coverage. Pages mapped in between for other purposes (guards, large
+// objects) stay nil.
+func (h *Heap) indexSubregions(subs ...*subregion) {
 	h.idxMu.Lock()
 	defer h.idxMu.Unlock()
-	startPn := base / vmem.PageSize
-	endPn := (base + bytes + vmem.PageSize - 1) / vmem.PageSize
+	lo, hi := subs[0].base/vmem.PageSize, subs[0].endPn()
+	for _, sub := range subs[1:] {
+		lo = min(lo, sub.base/vmem.PageSize)
+		hi = max(hi, sub.endPn())
+	}
 	cur := h.pageIdx.Load()
-	next := &pageIndex{basePn: startPn}
 	if cur != nil {
-		next.basePn = cur.basePn
+		lo = min(lo, cur.basePn)
+		hi = max(hi, cur.basePn+uint64(len(cur.subs)))
 	}
-	// The new table must cover both the new subregion and everything
-	// already published: under concurrent adaptive growth, the class
-	// that mapped the lower addresses may publish after the one that
-	// mapped the higher ones, so endPn alone can be short of the
-	// current coverage.
-	need := endPn - next.basePn
-	if cur != nil && uint64(len(cur.subs)) > need {
-		need = uint64(len(cur.subs))
-	}
-	grown := make([]*subregion, need)
+	next := &pageIndex{basePn: lo, subs: make([]*subregion, hi-lo)}
 	if cur != nil {
-		copy(grown, cur.subs)
+		copy(next.subs[cur.basePn-lo:], cur.subs)
 	}
-	next.subs = grown
-	for pn := startPn; pn < endPn; pn++ {
-		next.subs[pn-next.basePn] = sub
+	for _, sub := range subs {
+		span := next.subs[sub.base/vmem.PageSize-lo : sub.endPn()-lo]
+		for i := range span {
+			span[i] = sub
+		}
 	}
 	h.pageIdx.Store(next)
 }
@@ -994,7 +1014,12 @@ func (h *Heap) growClass(c int) error {
 	if regs.totalSlots+grow > cl.capSlots {
 		grow = cl.capSlots - regs.totalSlots
 	}
-	return h.addSubregion(c, grow)
+	sub, err := h.mapSubregion(c, grow)
+	if err != nil {
+		return err
+	}
+	h.addSubregions(sub)
+	return nil
 }
 
 // fillRandom fills an allocated object with random values drawn from

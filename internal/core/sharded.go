@@ -246,11 +246,17 @@ func (sh *ShardedHeap) emptiest(load func(*Heap) int64, excluded map[*Heap]bool)
 }
 
 // owner returns the shard owning p, or nil. Small objects resolve via
-// each shard's lock-free O(1) page index; large objects via the owning
-// shard's table.
+// each shard's lock-free O(1) page index, all of which are checked
+// before any shard's large-object table, so routing a small-object free
+// never takes a foreign shard's lock.
 func (sh *ShardedHeap) owner(p heap.Ptr) *Heap {
 	for _, s := range sh.shards {
-		if s.InHeap(p) || s.ownsLarge(p) {
+		if s.InHeap(p) {
+			return s
+		}
+	}
+	for _, s := range sh.shards {
+		if s.ownsLarge(p) {
 			return s
 		}
 	}
@@ -314,8 +320,10 @@ func (sh *ShardedHeap) Stats() *heap.Stats {
 	}
 	for _, s := range sh.shards {
 		st := s.Stats()
-		agg.Mallocs += atomic.LoadUint64(&st.Mallocs)
+		// Frees before Mallocs, as in heap.Stats.SnapshotAtomic, so no
+		// shard contributes more frees than mallocs.
 		agg.Frees += atomic.LoadUint64(&st.Frees)
+		agg.Mallocs += atomic.LoadUint64(&st.Mallocs)
 		agg.FailedMallocs += atomic.LoadUint64(&st.FailedMallocs)
 		agg.IgnoredFrees += atomic.LoadUint64(&st.IgnoredFrees)
 		agg.BytesRequested += atomic.LoadUint64(&st.BytesRequested)

@@ -111,11 +111,14 @@ type Stats struct {
 // `*a.Stats()` races with the atomic writers (each field is torn-free
 // here, though the copy as a whole is not a consistent cut — exactness
 // holds at quiescence, e.g. after a drain barrier). Sequential
-// allocators may use either form.
+// allocators may use either form. Frees is loaded before Mallocs:
+// every counted free follows the malloc it frees, so the copy never
+// shows more frees than mallocs.
 func (st *Stats) SnapshotAtomic() Stats {
+	frees := atomic.LoadUint64(&st.Frees)
 	return Stats{
 		Mallocs:        atomic.LoadUint64(&st.Mallocs),
-		Frees:          atomic.LoadUint64(&st.Frees),
+		Frees:          frees,
 		FailedMallocs:  atomic.LoadUint64(&st.FailedMallocs),
 		IgnoredFrees:   atomic.LoadUint64(&st.IgnoredFrees),
 		BytesRequested: atomic.LoadUint64(&st.BytesRequested),

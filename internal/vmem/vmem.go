@@ -20,9 +20,10 @@
 //
 // Concurrency (DESIGN.md §7): the access path is lock-free. The
 // directory, its leaves, and each page's backing frame are published
-// through atomic pointers, and each PTE's protection word is an atomic
-// — so goroutines may load and store through a Space concurrently with
-// each other and with mapping operations. Map, Unmap, Protect, and
+// through atomic pointers, and each PTE's protection word is accessed
+// atomically once its leaf is published — so goroutines may load and
+// store through a Space concurrently with each other and with mapping
+// operations. Map, Unmap, Protect, and
 // first-touch page instantiation serialize on an internal mutex, exactly
 // as a kernel serializes address-space mutation while leaving the TLB
 // fill path unlocked. Per-access statistics default to unsynchronized
@@ -213,15 +214,18 @@ type counterCell struct {
 const pteMapped = 1 << 2
 
 // pte is a page-table entry. meta packs the protection bits and the
-// mapped flag into one atomic word, the analog of a hardware PTE's
-// permission bits; frame stays nil until the page is first accessed
-// (lazy instantiation, §4.5), at which point it is atomically published.
-// Lock-free readers load meta and frame independently; every observable
+// mapped flag into one word, the analog of a hardware PTE's permission
+// bits; frame stays nil until the page is first accessed (lazy
+// instantiation, §4.5), at which point it is atomically published.
+// meta is a plain word so Map can fill a leaf that no reader can see yet
+// with plain stores (DESIGN.md §2); once its leaf is published it is
+// only read and written through atomic.LoadUint32/StoreUint32. Lock-free
+// readers load meta and frame independently; every observable
 // interleaving corresponds to a legal serialization of the concurrent
 // mapping operations.
 type pte struct {
 	frame atomic.Pointer[frame]
-	meta  atomic.Uint32
+	meta  uint32
 }
 
 // leaf is the second radix level: a fixed array of page-table entries.
@@ -488,19 +492,6 @@ func (s *Space) lookup(pn uint64) *pte {
 	return nil
 }
 
-// ensureLeaf returns the leaf covering a page number, allocating and
-// publishing it on demand. Caller holds mu; readers observe the new
-// leaf through atomic loads.
-func (s *Space) ensureLeaf(pn uint64) *leaf {
-	di := pn >> leafBits
-	if l := s.dir[di].Load(); l != nil {
-		return l
-	}
-	l := new(leaf)
-	s.dir[di].Store(l)
-	return l
-}
-
 // allocFrame returns a zeroed page frame, recycling frames released by
 // Unmap and otherwise carving them from 1 MB slab arenas. Caller holds mu.
 func (s *Space) allocFrame() *frame {
@@ -538,15 +529,36 @@ func (s *Space) Map(n int, prot Prot) (uint64, error) {
 	}
 	s.extents = append(s.extents, extent{start: base, end: base + npages*PageSize, prot: prot})
 	s.next = base + (npages+1)*PageSize // +1: unmapped hole
-	for pn := base >> pageShift; pn < (base>>pageShift)+npages; pn++ {
-		l := s.ensureLeaf(pn)
-		l.ptes[pn&leafMask].meta.Store(uint32(prot) | pteMapped)
-	}
+	s.mapPTEs(base>>pageShift, npages, uint32(prot)|pteMapped)
 	s.stats.PagesMapped += npages
 	if s.stats.PagesMapped > s.stats.PagesPeak {
 		s.stats.PagesPeak = s.stats.PagesMapped
 	}
 	return base, nil
+}
+
+// mapPTEs sets the meta word of the n pages starting at page pn, one
+// leaf at a time. A leaf that is not published yet is allocated, filled
+// with plain stores and then published by the one atomic directory
+// store, which orders the whole fill before any lock-free reader that
+// loads the leaf pointer. Only PTEs in an already-published leaf, which
+// readers may be walking, take atomic stores. Caller holds mu.
+func (s *Space) mapPTEs(pn, n uint64, meta uint32) {
+	for end := pn + n; pn < end; {
+		di := pn >> leafBits
+		stop := min(end, (di+1)<<leafBits)
+		if l := s.dir[di].Load(); l != nil {
+			for ; pn < stop; pn++ {
+				atomic.StoreUint32(&l.ptes[pn&leafMask].meta, meta)
+			}
+			continue
+		}
+		l := new(leaf)
+		for ; pn < stop; pn++ {
+			l.ptes[pn&leafMask].meta = meta
+		}
+		s.dir[di].Store(l)
+	}
 }
 
 // MapGuarded reserves n bytes of read-write memory with a no-access guard
@@ -637,7 +649,7 @@ func (s *Space) Unmap(addr uint64, n int) error {
 		p := s.lookup(pn)
 		// Revoke the translation before recycling the frame so lock-free
 		// readers that re-walk see the hole first.
-		p.meta.Store(0)
+		atomic.StoreUint32(&p.meta, 0)
 		if f := p.frame.Swap(nil); f != nil {
 			s.freeFrames = append(s.freeFrames, f)
 			atomic.AddUint64(&s.stats.PagesDirty, ^uint64(0))
@@ -666,7 +678,7 @@ func (s *Space) Protect(addr uint64, n int, prot Prot) error {
 		s.extents[i].prot = prot
 	}
 	for pn := addr >> pageShift; pn < (addr+bytes)>>pageShift; pn++ {
-		s.lookup(pn).meta.Store(uint32(prot) | pteMapped)
+		atomic.StoreUint32(&s.lookup(pn).meta, uint32(prot)|pteMapped)
 	}
 	return nil
 }
@@ -675,7 +687,7 @@ func (s *Space) Protect(addr uint64, n int, prot Prot) error {
 // protection).
 func (s *Space) Mapped(addr uint64) bool {
 	p := s.lookup(addr >> pageShift)
-	return p != nil && p.meta.Load()&pteMapped != 0
+	return p != nil && atomic.LoadUint32(&p.meta)&pteMapped != 0
 }
 
 // translate resolves an access: a two-level radix walk plus a protection
@@ -693,7 +705,7 @@ func (s *Space) translate(addr uint64, kind AccessKind) ([]byte, uint64, error) 
 			p := &l.ptes[pn&leafMask]
 			// The permission bit for AccessLoad (0) is ProtRead, for
 			// AccessStore (1) ProtWrite = ProtRead<<1.
-			if p.meta.Load()&(uint32(ProtRead)<<kind) != 0 {
+			if atomic.LoadUint32(&p.meta)&(uint32(ProtRead)<<kind) != 0 {
 				if f := p.frame.Load(); f != nil {
 					if s.tlb != nil && s.mode == StatsPrecise {
 						s.tlbTouch(pn)
@@ -717,12 +729,12 @@ func (s *Space) translateSlow(addr uint64, kind AccessKind) ([]byte, uint64, err
 	pn := addr >> pageShift
 	s.mu.Lock()
 	p := s.lookup(pn)
-	if p == nil || p.meta.Load()&pteMapped == 0 {
+	if p == nil || atomic.LoadUint32(&p.meta)&pteMapped == 0 {
 		s.mu.Unlock()
 		s.countFault()
 		return nil, 0, &Fault{Addr: addr, Kind: kind, Reason: "unmapped address"}
 	}
-	meta := p.meta.Load()
+	meta := atomic.LoadUint32(&p.meta)
 	need := uint32(ProtRead)
 	if kind == AccessStore {
 		need = uint32(ProtWrite)
