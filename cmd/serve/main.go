@@ -9,8 +9,10 @@
 // Poisson+burst run at roughly half the measured saturation throughput
 // (so the tail percentiles grade queueing behavior, not just service
 // time). With -smoke it instead runs a seconds-long deterministic soak
-// in both free modes, asserts zero invariant violations and a generous
-// p99 ceiling, and writes nothing — safe for 1-CPU CI hosts, whose
+// in both free modes, untagged and on a generation-tagged heap with
+// injected double and wild frees, asserts zero invariant violations,
+// exact injection accounting on the tagged passes and a generous p99
+// ceiling, and writes nothing — safe for 1-CPU CI hosts, whose
 // numbers must never overwrite a multicore recording (the same
 // provenance guard cmd/vmembench uses).
 package main
@@ -49,7 +51,7 @@ func main() {
 		label    = flag.String("label", "serve", "label for this measurement set")
 		out      = flag.String("out", "BENCH_serve.json", "output file (merged in place)")
 		force    = flag.Bool("force", false, "allow a 1-CPU rerun to overwrite an entry recorded on a multicore host")
-		smoke    = flag.Bool("smoke", false, "run the seconds-long CI soak (both free modes, zero-violation + p99 gate) and write nothing")
+		smoke    = flag.Bool("smoke", false, "run the seconds-long CI soak (both free modes, untagged and tagged, zero-violation + p99 gate) and write nothing")
 		sessions = flag.Int64("sessions", 400_000, "sessions per recorded soak")
 		shards   = flag.Int("shards", 8, "heap shards")
 		workers  = flag.Int("workers", 8, "worker goroutines")
@@ -216,27 +218,40 @@ func dumpObs(reg *obs.Registry, rec *obs.Recorder) {
 // free mode must complete with zero invariant violations (serve.Run
 // fails otherwise), zero leftover fullness, and a p99 under a ceiling
 // generous enough for a loaded 1-CPU runner yet low enough to catch a
-// pathological drain stall (seconds-scale tail).
+// pathological drain stall (seconds-scale tail). The tagged passes run
+// the same sessions through generation-tagged fat pointers with
+// injected double and wild frees, and must account for every injection
+// exactly: each double free a stale free, each wild free an ignored
+// one.
 func runSmoke(reg *obs.Registry, rec *obs.Recorder) {
 	const p99Ceiling = 250 * time.Millisecond
 	for _, mode := range []struct {
-		name string
-		fm   serve.FreeMode
+		name     string
+		fm       serve.FreeMode
+		gen      bool
+		sessions int64
 	}{
-		{"sync", serve.FreeSync},
-		{"remote", serve.FreeRemote},
+		{"sync", serve.FreeSync, false, 120_000},
+		{"remote", serve.FreeRemote, false, 120_000},
+		{"sync-gen", serve.FreeSync, true, 40_000},
+		{"remote-gen", serve.FreeRemote, true, 40_000},
 	} {
-		res, err := serve.Run(serve.Config{
+		cfg := serve.Config{
 			Shards:   4,
 			Workers:  4,
-			Sessions: 120_000,
+			Sessions: mode.sessions,
 			Seed:     0x5e44e,
 			FreeMode: mode.fm,
-		})
+			GenTags:  mode.gen,
+		}
+		if mode.gen {
+			cfg.ErrorRate = 0.05
+		}
+		res, err := serve.Run(cfg)
 		if err != nil {
 			fatal(fmt.Errorf("smoke %s: %w", mode.name, err))
 		}
-		fmt.Printf("smoke %-6s %10.0f sessions/s  p50 %8dns  p99 %8dns  p999 %8dns\n",
+		fmt.Printf("smoke %-10s %10.0f sessions/s  p50 %8dns  p99 %8dns  p999 %8dns\n",
 			mode.name, res.SessionsPerSec, res.P50, res.P99, res.P999)
 		if res.FullnessEnd != 0 {
 			fatal(fmt.Errorf("smoke %s: leaked %v fullness", mode.name, res.FullnessEnd))
@@ -245,7 +260,17 @@ func runSmoke(reg *obs.Registry, rec *obs.Recorder) {
 			fatal(fmt.Errorf("smoke %s: p99 %v exceeds %v", mode.name, time.Duration(res.P99), p99Ceiling))
 		}
 		if mode.fm == serve.FreeRemote && res.Stats.RemoteFrees == 0 {
-			fatal(fmt.Errorf("smoke remote: ring never used"))
+			fatal(fmt.Errorf("smoke %s: ring never used", mode.name))
+		}
+		if !mode.gen {
+			continue
+		}
+		if res.DoubleFrees == 0 {
+			fatal(fmt.Errorf("smoke %s: error injection never fired", mode.name))
+		}
+		if res.Stats.StaleFrees != uint64(res.DoubleFrees) || res.Stats.IgnoredFrees != uint64(res.WildFrees) {
+			fatal(fmt.Errorf("smoke %s: StaleFrees/IgnoredFrees %d/%d, injected doubles/wilds %d/%d",
+				mode.name, res.Stats.StaleFrees, res.Stats.IgnoredFrees, res.DoubleFrees, res.WildFrees))
 		}
 	}
 	if reg != nil {

@@ -448,19 +448,21 @@ func (h *Heap) addStat(p *uint64, n uint64) {
 	}
 }
 
-func (h *Heap) countMalloc(size, rounded int) {
+// countMallocs and countFrees publish n allocations' or frees' counters
+// with the heap's stats discipline; an unbatched malloc or free is n = 1.
+func (h *Heap) countMallocs(n int, reqBytes, allocBytes uint64) {
 	if h.atomicStats {
-		heap.CountMallocAtomic(&h.stats, size, rounded)
+		heap.CountMallocBatchAtomic(&h.stats, n, reqBytes, allocBytes)
 	} else {
-		heap.CountMalloc(&h.stats, size, rounded)
+		heap.CountMallocBatch(&h.stats, n, reqBytes, allocBytes)
 	}
 }
 
-func (h *Heap) countFree(rounded int) {
+func (h *Heap) countFrees(n int, allocBytes uint64) {
 	if h.atomicStats {
-		heap.CountFreeAtomic(&h.stats, rounded)
+		heap.CountFreeBatchAtomic(&h.stats, n, allocBytes)
 	} else {
-		heap.CountFree(&h.stats, rounded)
+		heap.CountFreeBatch(&h.stats, n, allocBytes)
 	}
 }
 
@@ -694,7 +696,7 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 		return heap.Null, err
 	}
 	ptr, slotSize := slot[0], ClassSize(c)
-	h.countMalloc(size, slotSize)
+	h.countMallocs(1, uint64(size), uint64(slotSize))
 	if h.trace != nil {
 		h.trace.Emit(obs.EvMalloc, ptr)
 	}
@@ -1083,7 +1085,7 @@ func (h *Heap) allocateLargeObject(size int) (heap.Ptr, error) {
 		return heap.Null, fillErr
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
-	h.countMalloc(size, npages*vmem.PageSize)
+	h.countMallocs(1, uint64(size), uint64(npages*vmem.PageSize))
 	if h.opts.OnAlloc != nil {
 		h.opts.OnAlloc(base, size, npages*vmem.PageSize)
 	}
@@ -1095,41 +1097,60 @@ func (h *Heap) allocateLargeObject(size int) (heap.Ptr, error) {
 // multiple of the object size, and the object must currently be marked
 // allocated. Free never fails. Safe for concurrent use.
 func (h *Heap) Free(p heap.Ptr) error {
+	_, err := h.free(heap.FatPtr{Addr: p})
+	return err
+}
+
+// free is the one synchronous free body (DESIGN.md §12, §15) behind Free
+// and FreeFat, and the fallback of the ring route. A thin free is an
+// untagged fat free (fp.Gen == 0); a fat free arrives with its tag
+// already validated at the fat entry (fatEntry). The two differ only in
+// how a loser is counted (lostFree). accepted reports whether this call
+// released the object, retired its slot, or diverted it into the
+// quarantine.
+func (h *Heap) free(fp heap.FatPtr) (accepted bool, err error) {
+	p := fp.Addr
 	if p == heap.Null {
-		return nil // free(NULL) is a no-op in C
+		return true, nil // free(NULL) is a no-op in C
 	}
 	cl, sub, local := h.find(p)
 	if cl == nil {
+		// Large object, or nothing at all (§4.3). A fat pointer that
+		// resolves to no live large object of its generation is stale by
+		// construction: the freed-large-object double free lands here.
 		h.largeMu.Lock()
 		lo, ok := h.large[p]
-		if !ok {
+		if !ok || (fp.Gen != 0 && lo.gen != fp.Gen) {
 			h.largeMu.Unlock()
-			h.addStat(&h.stats.IgnoredFrees, 1) // not our pointer: ignore (§4.3)
-			return nil
+			h.lostFree(fp)
+			return false, nil
 		}
 		delete(h.large, p) // delete-first: exactly one racing free wins
 		h.largeMu.Unlock()
-		return h.finishLargeFree(p, lo)
+		return true, h.finishLargeFree(p, lo)
 	}
 	if (p-sub.base)&cl.mask != 0 {
-		h.addStat(&h.stats.IgnoredFrees, 1) // misaligned interior pointer: ignore
-		return nil
+		// Misaligned interior pointer: a spatial error, not a temporal
+		// one, so even a fat free takes the plain §4.3 ignore.
+		h.addStat(&h.stats.IgnoredFrees, 1)
+		return false, nil
 	}
 	if sub.gens != nil {
 		// Tagged heap (DESIGN.md §15): the generation word is the free
-		// arbiter. The transition runs *before* the quarantine filter so
-		// that exactly one free per incarnation ever reaches the filter —
+		// arbiter, against the fat tag or any live word for a thin free.
+		// The transition runs *before* the quarantine filter so that
+		// exactly one free per incarnation ever reaches the filter —
 		// held slots sit bit-set with an even generation, and duplicate
 		// frees lose here (so the quarantine FIFO never holds duplicates
 		// on tagged heaps, and a release's bit-clear can never race a
 		// reallocated slot).
-		switch h.genFree(sub, local, 0) {
+		switch h.genFree(sub, local, fp.Gen) {
 		case genLose:
-			h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
-			return nil
+			h.lostFree(fp)
+			return false, nil
 		case genRetireOut:
 			h.addStat(&h.stats.Retired, 1)
-			return nil
+			return true, nil
 		}
 	}
 	if h.opts.FreeFilter != nil && (sub.gens != nil || sub.getAtomic(local)) && h.opts.FreeFilter(p, cl.size) {
@@ -1141,15 +1162,16 @@ func (h *Heap) Free(p heap.Ptr) error {
 		// duplicate that loses (and is counted an IgnoredFree) at release
 		// time.
 		h.quarantineHold(p)
-		return nil
+		return true, nil
 	}
 	// Of any set of racing frees of this pointer, exactly one clears the
 	// bit; the rest are double frees. On tagged heaps the clear follows
 	// a won transition and cannot fail.
 	if !h.freeSlot(cl, sub, local, p) {
-		h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
+		h.lostFree(fp)
+		return false, nil
 	}
-	return nil
+	return true, nil
 }
 
 // clearSlot releases slot local's bitmap bit — by CAS on Concurrent
@@ -1175,10 +1197,7 @@ func (h *Heap) release(sub *subregion, local int, gen uint64) genOutcome {
 		}
 		return genLose
 	}
-	if gen != 0 && !genValidTag(gen) {
-		return genLose
-	}
-	out := h.genFree(sub, local, uint32(gen))
+	out := h.genFree(sub, local, gen)
 	if out == genWin {
 		h.clearSlot(sub, local)
 	}
@@ -1201,7 +1220,7 @@ func (h *Heap) freeSlot(cl *sizeClass, sub *subregion, local int, p heap.Ptr) bo
 	}
 	h.addInUse(cl, -1)
 	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
-	h.countFree(cl.size)
+	h.countFrees(1, uint64(cl.size))
 	if h.trace != nil {
 		h.trace.Emit(obs.EvFree, p)
 	}
@@ -1232,7 +1251,7 @@ func (h *Heap) finishLargeFree(p heap.Ptr, lo largeObject) error {
 		return err
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
-	h.countFree(usable)
+	h.countFrees(1, uint64(usable))
 	if h.trace != nil {
 		h.trace.Emit(obs.EvFree, p)
 	}

@@ -90,13 +90,14 @@ func (h *Heap) genClaim(sub *subregion, local int) {
 
 // genFree arbitrates a free of slot local on a tagged heap: CAS the
 // word odd→even, or into retirement at the ceiling. want != 0 is a fat
-// pointer's tag (validated odd and below genRetired) that the word must
+// pointer's tag (validated odd at the fat entry) that the word must
 // still equal, so a stale pointer — freed, reallocated, quarantined, or
-// retired since issue — loses deterministically; want == 0 is an
-// untagged free, accepted against any live word. genLose means the slot
-// is already free, retired, stale, or lost to a racing free — the §4.3
-// ignore.
-func (h *Heap) genFree(sub *subregion, local int, want uint32) genOutcome {
+// retired since issue — loses deterministically; the comparison is
+// 64-bit, so a tag wider than the 32-bit word matches nothing. want ==
+// 0 is an untagged free, accepted against any live word. genLose means
+// the slot is already free, retired, stale, or lost to a racing free —
+// the §4.3 ignore.
+func (h *Heap) genFree(sub *subregion, local int, want uint64) genOutcome {
 	g := &sub.gens[local]
 	for {
 		var cur uint32
@@ -105,7 +106,7 @@ func (h *Heap) genFree(sub *subregion, local int, want uint32) genOutcome {
 		} else {
 			cur = *g
 		}
-		if cur&1 == 0 || cur == genRetired || (want != 0 && cur != want) {
+		if cur&1 == 0 || cur == genRetired || (want != 0 && uint64(cur) != want) {
 			return genLose
 		}
 		next, out := cur+1, genWin
@@ -122,23 +123,45 @@ func (h *Heap) genFree(sub *subregion, local int, want uint32) genOutcome {
 	}
 }
 
+// lostFree counts a free that lost its arbitration, and is the one
+// place a thin free and a fat free differ: a thin loser (Gen 0) is a
+// §4.3 ignored free, a fat loser a stale free reported with its
+// evidence.
+func (h *Heap) lostFree(fp heap.FatPtr) {
+	if fp.Gen == 0 {
+		h.addStat(&h.stats.IgnoredFrees, 1)
+		return
+	}
+	h.noteStaleFree(fp)
+}
+
 // noteStaleFree records a rejected stale free: counter, trace event,
 // and the OnStaleFree evidence hook.
-func (h *Heap) noteStaleFree(p heap.Ptr, gen uint64) {
+func (h *Heap) noteStaleFree(fp heap.FatPtr) {
 	h.addStat(&h.stats.StaleFrees, 1)
 	if h.trace != nil {
-		h.trace.Emit(obs.EvStaleFree, p)
+		h.trace.Emit(obs.EvStaleFree, fp.Addr)
 	}
 	if h.opts.OnStaleFree != nil {
-		h.opts.OnStaleFree(p, gen)
+		h.opts.OnStaleFree(fp.Addr, fp.Gen)
 	}
 }
 
-// genValidTag reports whether g could ever have been issued as a tag:
-// odd, nonzero, below the retirement sentinel, and within 32 bits for
-// small objects. Anything else is stale by construction.
-func genValidTag(g uint64) bool {
-	return g&1 == 1 && g == uint64(uint32(g)) && uint32(g) != genRetired
+// fatEntry validates a fat pointer once, at the fat entry, before any
+// route: a heap without GenTags refuses the fat API, and a tag the
+// allocator could never have issued — 0 or even — is stale on the
+// spot, so no route can mistake it for a thin free. Odd tags that match
+// no live incarnation lose in the arbitration itself. false means the
+// caller returns (false, err).
+func (h *Heap) fatEntry(fp heap.FatPtr) (bool, error) {
+	if !h.opts.GenTags {
+		return false, ErrNotGenTagged
+	}
+	if fp.Gen&1 == 0 && fp.Addr != heap.Null {
+		h.noteStaleFree(fp)
+		return false, nil
+	}
+	return true, nil
 }
 
 // GenTagged reports whether the heap issues generation-tagged pointers.
@@ -231,10 +254,11 @@ func (h *Heap) MallocFat(size int) (heap.FatPtr, error) {
 	return heap.FatPtr{Addr: p, Gen: g}, nil
 }
 
-// FreeFat releases a generation-tagged allocation. accepted reports
-// whether this call won the release (or retired the slot): a stale tag
-// — the slot freed, reallocated, quarantined, or retired since fp was
-// issued — is rejected with accepted == false, counted in
+// FreeFat releases a generation-tagged allocation through Free's body,
+// with the tag checked at entry. accepted reports whether this call won
+// the release (or retired or quarantined the slot): an unissued or
+// stale tag — the slot freed, reallocated, quarantined, or retired
+// since fp was issued — is rejected with accepted == false, counted in
 // Stats.StaleFrees, and reported through OnStaleFree. Of racing FreeFat
 // calls with the same fat pointer, exactly one is accepted: the
 // generation CAS arbitrates, deterministically, even when the loser
@@ -243,88 +267,25 @@ func (h *Heap) MallocFat(size int) (heap.FatPtr, error) {
 // §4.3 ignore (Stats.IgnoredFrees): they are spatial, not temporal,
 // errors.
 func (h *Heap) FreeFat(fp heap.FatPtr) (accepted bool, err error) {
-	if !h.opts.GenTags {
-		return false, ErrNotGenTagged
+	if ok, err := h.fatEntry(fp); !ok {
+		return false, err
 	}
-	p := fp.Addr
-	if p == heap.Null {
-		return true, nil // free(NULL) is a no-op in C
-	}
-	cl, sub, local := h.find(p)
-	if cl == nil {
-		// Large object, or nothing at all. A fat pointer resolving to no
-		// live object is stale by construction (fat pointers are only
-		// issued by MallocFat): the freed-large-object double free lands
-		// here deterministically.
-		h.largeMu.Lock()
-		lo, ok := h.large[p]
-		if !ok || lo.gen != fp.Gen {
-			h.largeMu.Unlock()
-			h.noteStaleFree(p, fp.Gen)
-			return false, nil
-		}
-		delete(h.large, p) // delete-first: exactly one racing free wins
-		h.largeMu.Unlock()
-		return true, h.finishLargeFree(p, lo)
-	}
-	if (p-sub.base)&cl.mask != 0 {
-		h.addStat(&h.stats.IgnoredFrees, 1) // misaligned interior pointer: ignore
-		return false, nil
-	}
-	if !genValidTag(fp.Gen) {
-		h.noteStaleFree(p, fp.Gen)
-		return false, nil
-	}
-	switch h.genFree(sub, local, uint32(fp.Gen)) {
-	case genLose:
-		h.noteStaleFree(p, fp.Gen)
-		return false, nil
-	case genRetireOut:
-		h.addStat(&h.stats.Retired, 1)
-		return true, nil
-	}
-	if h.opts.FreeFilter != nil && h.opts.FreeFilter(p, cl.size) {
-		// Quarantine divert after the won transition: the held slot sits
-		// bit-set with an even generation, so stale accesses and stale
-		// frees during the hold are detected, and the eventual release
-		// is the slot's sole bit-clearer.
-		h.quarantineHold(p)
-		return true, nil
-	}
-	h.freeSlot(cl, sub, local, p) // cannot fail after a won transition
-	return true, nil
+	return h.free(fp)
 }
 
-// RemoteFreeFat releases fp through the remote-free ring, carrying the
-// generation in the ring cell so the owner's drain runs the same
-// gen-checked arbitration FreeFat does — a stale fat pointer is
-// rejected (Stats.StaleFrees) at drain time, after any reallocation the
-// deferral allowed. Everything the ring cannot defer falls back to the
-// synchronous FreeFat. accepted == true for an enqueued free means
-// "queued": the verdict lands in the owner's counters at its next
-// drain.
+// RemoteFreeFat releases fp through RemoteFree's ring route, carrying
+// the generation in the ring cell so the owner's drain runs the same
+// gen-checked arbitration FreeFat does. The tag is checked before it is
+// queued, so no cell carries a tag the allocator never issued; a stale
+// one is rejected (Stats.StaleFrees) at drain time, after any
+// reallocation the deferral allowed. accepted == true for an enqueued
+// free means "queued": the verdict lands in the owner's counters at its
+// next drain.
 func (h *Heap) RemoteFreeFat(fp heap.FatPtr) (accepted bool, err error) {
-	if !h.opts.GenTags {
-		return false, ErrNotGenTagged
+	if ok, err := h.fatEntry(fp); !ok {
+		return false, err
 	}
-	if fp.Addr == heap.Null {
-		return true, nil
-	}
-	r := h.remote
-	if r == nil {
-		return h.FreeFat(fp)
-	}
-	cl, sub, _ := h.find(fp.Addr)
-	if cl == nil || (fp.Addr-sub.base)&cl.mask != 0 {
-		return h.FreeFat(fp) // large, foreign, or interior: the unbatched path decides
-	}
-	if !r.enqueue(fp.Addr, fp.Gen) {
-		return h.FreeFat(fp) // owner is behind; apply in place rather than wait
-	}
-	if h.trace != nil {
-		h.trace.Emit(obs.EvRemoteFree, fp.Addr)
-	}
-	return true, nil
+	return h.remoteFree(fp)
 }
 
 // MallocFat allocates from the emptiest shard (the Malloc routing) and
@@ -340,34 +301,6 @@ func (sh *ShardedHeap) MallocFat(size int) (heap.FatPtr, error) {
 	}
 	g, _ := s.GenOf(p)
 	return heap.FatPtr{Addr: p, Gen: g}, nil
-}
-
-// FreeFat routes fp to its owning shard's gen-checked free. A fat
-// pointer owned by no shard is stale by construction (its large object
-// was already freed) and rejected.
-func (sh *ShardedHeap) FreeFat(fp heap.FatPtr) (bool, error) {
-	if fp.Addr == heap.Null {
-		return true, nil
-	}
-	if s := sh.owner(fp.Addr); s != nil {
-		return s.FreeFat(fp)
-	}
-	atomic.AddUint64(&sh.stats.StaleFrees, 1)
-	return false, nil
-}
-
-// RemoteFreeFat routes fp to its owning shard's ring with the
-// generation attached, exactly as ShardedHeap.RemoteFree routes plain
-// pointers.
-func (sh *ShardedHeap) RemoteFreeFat(fp heap.FatPtr) (bool, error) {
-	if fp.Addr == heap.Null {
-		return true, nil
-	}
-	if s := sh.owner(fp.Addr); s != nil {
-		return s.RemoteFreeFat(fp)
-	}
-	atomic.AddUint64(&sh.stats.StaleFrees, 1)
-	return false, nil
 }
 
 // GenOf resolves p's current generation through its owning shard.

@@ -10,11 +10,13 @@ package core
 // detector in CI.
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"diehard/internal/heap"
+	"diehard/internal/obs"
 	"diehard/internal/rng"
 )
 
@@ -657,5 +659,124 @@ func TestGenTagRandomFill(t *testing.T) {
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFatFreeUnissuedTag: a fat pointer whose tag the allocator could
+// never have issued (0, or any even word) is stale on every route —
+// synchronous or ring, Heap or ShardedHeap — and leaves the object
+// live. The tag is validated once, at the fat entry: a ring cell
+// carrying gen 0 would otherwise read as a thin free and release a
+// live object.
+func TestFatFreeUnissuedTag(t *testing.T) {
+	type fatHeap interface {
+		MallocFat(size int) (heap.FatPtr, error)
+		FreeFat(fp heap.FatPtr) (bool, error)
+		RemoteFreeFat(fp heap.FatPtr) (bool, error)
+		CheckGen(fp heap.FatPtr) bool
+		CheckInvariants() error
+		StatsSnapshot() heap.Stats
+	}
+	for _, sharded := range []bool{false, true} {
+		for _, ring := range []bool{false, true} {
+			for _, remote := range []bool{false, true} {
+				for _, bad := range []uint64{0, 1} { // tag 0, or fp.Gen+1 (even)
+					name := fmt.Sprintf("sharded=%v/ring=%v/remote=%v/even=%v", sharded, ring, remote, bad == 1)
+					t.Run(name, func(t *testing.T) {
+						o := Options{HeapSize: 8 << 20, Seed: 41, GenTags: true, Concurrent: ring, RemoteRing: ring}
+						var (
+							h   fatHeap
+							err error
+						)
+						if sharded {
+							h, err = NewSharded(2, o)
+						} else {
+							h, err = New(o)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						fp, err := h.MallocFat(48)
+						if err != nil {
+							t.Fatal(err)
+						}
+						forged := heap.FatPtr{Addr: fp.Addr}
+						if bad == 1 {
+							forged.Gen = fp.Gen + 1
+						}
+						free := h.FreeFat
+						if remote {
+							free = h.RemoteFreeFat
+						}
+						if ok, err := free(forged); ok || err != nil {
+							t.Fatalf("free(%+v) = %v, %v; want rejected", forged, ok, err)
+						}
+						if err := h.CheckInvariants(); err != nil {
+							t.Fatal(err)
+						}
+						if st := h.StatsSnapshot(); st.StaleFrees != 1 || st.Frees != 0 || st.LiveObjects != 1 {
+							t.Fatalf("StaleFrees=%d Frees=%d Live=%d; want 1, 0, 1", st.StaleFrees, st.Frees, st.LiveObjects)
+						}
+						if !h.CheckGen(fp) {
+							t.Fatal("object no longer live under its issued tag")
+						}
+						if ok, err := h.FreeFat(fp); !ok || err != nil {
+							t.Fatalf("FreeFat(issued) = %v, %v; want accepted", ok, err)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestShardedUnownedStaleFreeEvidence: a fat free that no shard owns —
+// here the second free of a large object — is reported exactly as
+// Heap.FreeFat reports a stale free: counted once, OnStaleFree fired
+// once, and an EvStaleFree emitted (on the router's ring).
+func TestShardedUnownedStaleFreeEvidence(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		t.Run(fmt.Sprintf("remote=%v", remote), func(t *testing.T) {
+			var hooks int
+			var hookAddr heap.Ptr
+			sh, err := NewSharded(2, Options{
+				HeapSize: 8 << 20, Seed: 43, GenTags: true,
+				OnStaleFree: func(p heap.Ptr, _ uint64) { hooks++; hookAddr = p },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.NewRecorder(64)
+			sh.AttachRecorder(rec, 0)
+			fp, err := sh.MallocFat(MaxObjectSize + 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			free := sh.FreeFat
+			if remote {
+				free = sh.RemoteFreeFat
+			}
+			if ok, err := free(fp); !ok || err != nil {
+				t.Fatalf("first free = %v, %v; want accepted", ok, err)
+			}
+			if ok, err := free(fp); ok || err != nil {
+				t.Fatalf("second free = %v, %v; want rejected", ok, err)
+			}
+			if hooks != 1 || hookAddr != fp.Addr {
+				t.Errorf("OnStaleFree fired %d times (last %#x); want once for %#x", hooks, hookAddr, fp.Addr)
+			}
+			if st := sh.StatsSnapshot(); st.StaleFrees != 1 {
+				t.Errorf("StaleFrees = %d; want 1", st.StaleFrees)
+			}
+			var stale []obs.Event
+			for _, ev := range rec.Snapshot() {
+				if ev.Kind == obs.EvStaleFree.String() {
+					stale = append(stale, ev)
+				}
+			}
+			if len(stale) != 1 || stale[0].Worker != sh.Shards() || stale[0].Arg != fp.Addr {
+				t.Errorf("EvStaleFree events %+v; want one on router ring %d for %#x", stale, sh.Shards(), fp.Addr)
+			}
+		})
 	}
 }

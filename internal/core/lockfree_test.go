@@ -489,7 +489,7 @@ func TestLockFreeClaimUndoStolenSlot(t *testing.T) {
 			t.Errorf("tagged=%v: CASRetries = %d, want 1", tagged, st.CASRetries)
 		}
 		popcountVsInUse(t, h)
-		h.countMalloc(64, 64) // serve the surviving claim, as a magazine pop would
+		h.countMallocs(1, 64, 64) // serve the surviving claim, as a magazine pop would
 		if err := h.CheckInvariantsSlack(1); err != nil {
 			t.Fatalf("tagged=%v: %v", tagged, err)
 		}

@@ -279,13 +279,8 @@ func (m *Magazine) publishMallocs(c int, cm *classMagazine) {
 	if cm.pendingMallocs == 0 {
 		return
 	}
-	owner := cm.owner
 	alloc := uint64(cm.pendingMallocs) * uint64(ClassSize(c))
-	if owner.atomicStats {
-		heap.CountMallocBatchAtomic(&owner.stats, cm.pendingMallocs, cm.pendingReq, alloc)
-	} else {
-		heap.CountMallocBatch(&owner.stats, cm.pendingMallocs, cm.pendingReq, alloc)
-	}
+	cm.owner.countMallocs(cm.pendingMallocs, cm.pendingReq, alloc)
 	cm.pendingMallocs = 0
 	cm.pendingReq = 0
 }
@@ -412,11 +407,7 @@ func (h *Heap) finishBatchedFrees(c int, t *freeTally) {
 		cl := &h.classes[c]
 		h.addInUse(cl, -int64(wins))
 		h.addStat(&h.stats.WorkUnits, uint64(wins)*heap.WorkBitmap)
-		if h.atomicStats {
-			heap.CountFreeBatchAtomic(&h.stats, wins, uint64(wins)*uint64(cl.size))
-		} else {
-			heap.CountFreeBatch(&h.stats, wins, uint64(wins)*uint64(cl.size))
-		}
+		h.countFrees(wins, uint64(wins)*uint64(cl.size))
 	}
 	if t[genLose] > 0 {
 		h.addStat(&h.stats.IgnoredFrees, uint64(t[genLose]))

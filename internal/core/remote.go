@@ -41,10 +41,10 @@ const remoteRingSize = 1024
 // the cell between producers and the consumer: a producer may claim the
 // cell when seq == pos (its ticket), publishes with seq = pos+1, and the
 // consumer recycles it with seq = pos+mask+1. addr and gen are plain:
-// the seq store/load pair orders them. gen 0 marks an untagged free
-// (plain RemoteFree, or any free on an untagged heap — issued tags are
-// never 0); a nonzero gen carries a fat pointer's tag to the owner's
-// gen-checked drain.
+// the seq store/load pair orders them. gen 0 marks a thin free (plain
+// RemoteFree, or any free on an untagged heap — RemoteFreeFat rejects
+// tag 0 before queueing); a nonzero gen carries a fat pointer's tag to
+// the owner's gen-checked drain.
 type freeCell struct {
 	seq  atomic.Uint64
 	addr uint64
@@ -127,41 +127,33 @@ func (r *freeRing) empty() bool {
 // the owner's next drain (refill, threshold miss, or CheckInvariants
 // barrier). Everything the ring cannot defer — heaps built without
 // Options.RemoteRing, null/large/foreign/misaligned pointers, a full
-// ring — falls back to the synchronous Free, so RemoteFree keeps Free's
-// exact §4.3 semantics and never blocks on the owner.
+// ring — falls back to the synchronous free body, so RemoteFree keeps
+// Free's exact §4.3 semantics and never blocks on the owner.
 func (h *Heap) RemoteFree(p heap.Ptr) error {
-	if p == heap.Null {
-		return nil
-	}
-	r := h.remote
-	if r == nil {
-		return h.Free(p)
-	}
-	cl, sub, _ := h.find(p)
-	if cl == nil || (p-sub.base)&cl.mask != 0 {
-		return h.Free(p) // large, foreign, or interior: the unbatched path decides
-	}
-	if !r.enqueue(p, 0) {
-		return h.Free(p) // owner is behind; apply in place rather than wait
-	}
-	if h.trace != nil {
-		h.trace.Emit(obs.EvRemoteFree, p)
-	}
-	return nil
+	_, err := h.remoteFree(heap.FatPtr{Addr: p})
+	return err
 }
 
-// RemoteFree routes p to its owning shard's ring (falling back to the
-// synchronous path exactly as Heap.RemoteFree does); pointers owned by
-// no shard are ignored, DieHard's §4.3 semantics.
-func (sh *ShardedHeap) RemoteFree(p heap.Ptr) error {
-	if p == heap.Null {
-		return nil
+// remoteFree is the one ring route behind RemoteFree and RemoteFreeFat:
+// it enqueues fp's address with its generation — 0 for a thin free —
+// for the owner's drain, and hands everything the ring cannot defer to
+// the synchronous body.
+func (h *Heap) remoteFree(fp heap.FatPtr) (bool, error) {
+	r := h.remote
+	if r == nil || fp.Addr == heap.Null {
+		return h.free(fp)
 	}
-	if s := sh.owner(p); s != nil {
-		return s.RemoteFree(p)
+	cl, sub, _ := h.find(fp.Addr)
+	if cl == nil || (fp.Addr-sub.base)&cl.mask != 0 || !r.enqueue(fp.Addr, fp.Gen) {
+		// Large, foreign, or interior pointers go to the body that
+		// decides them; on a full ring the owner is behind, so the free
+		// applies in place rather than wait.
+		return h.free(fp)
 	}
-	atomic.AddUint64(&sh.stats.IgnoredFrees, 1)
-	return nil
+	if h.trace != nil {
+		h.trace.Emit(obs.EvRemoteFree, fp.Addr)
+	}
+	return true, nil
 }
 
 // drainRemote applies everything queued in the remote ring: per entry

@@ -263,17 +263,56 @@ func (sh *ShardedHeap) owner(p heap.Ptr) *Heap {
 	return nil
 }
 
-// Free routes p to its owning shard; pointers owned by no shard are
-// ignored, DieHard's §4.3 semantics.
+// routeFree is the one owner-routing step behind the four ShardedHeap
+// frees: null is a no-op, a pointer some shard owns goes to that shard's
+// entry via, and a pointer no shard owns loses at the router — an
+// ignored free on the thin routes (§4.3), and on the fat ones a stale
+// free reported exactly as Heap.FreeFat reports one (counter,
+// EvStaleFree on the router's ring, OnStaleFree). A fat pointer owned by
+// no shard is stale by construction: its large object was already freed.
+func (sh *ShardedHeap) routeFree(fp heap.FatPtr, fat bool, via func(*Heap, heap.FatPtr) (bool, error)) (bool, error) {
+	if fp.Addr == heap.Null {
+		return true, nil
+	}
+	if s := sh.owner(fp.Addr); s != nil {
+		return via(s, fp)
+	}
+	if !fat {
+		atomic.AddUint64(&sh.stats.IgnoredFrees, 1)
+		return false, nil
+	}
+	atomic.AddUint64(&sh.stats.StaleFrees, 1)
+	if sh.trace != nil {
+		sh.trace.Emit(obs.EvStaleFree, fp.Addr)
+	}
+	if f := sh.shards[0].opts.OnStaleFree; f != nil {
+		f(fp.Addr, fp.Gen)
+	}
+	return false, nil
+}
+
+// Free routes p to its owning shard's synchronous free.
 func (sh *ShardedHeap) Free(p heap.Ptr) error {
-	if p == heap.Null {
-		return nil
-	}
-	if s := sh.owner(p); s != nil {
-		return s.Free(p)
-	}
-	atomic.AddUint64(&sh.stats.IgnoredFrees, 1)
-	return nil
+	_, err := sh.routeFree(heap.FatPtr{Addr: p}, false, (*Heap).free)
+	return err
+}
+
+// RemoteFree routes p to its owning shard's ring, falling back to the
+// synchronous path exactly as Heap.RemoteFree does.
+func (sh *ShardedHeap) RemoteFree(p heap.Ptr) error {
+	_, err := sh.routeFree(heap.FatPtr{Addr: p}, false, (*Heap).remoteFree)
+	return err
+}
+
+// FreeFat routes fp to its owning shard's gen-checked free.
+func (sh *ShardedHeap) FreeFat(fp heap.FatPtr) (bool, error) {
+	return sh.routeFree(fp, true, (*Heap).FreeFat)
+}
+
+// RemoteFreeFat routes fp to its owning shard's ring with the
+// generation attached.
+func (sh *ShardedHeap) RemoteFreeFat(fp heap.FatPtr) (bool, error) {
+	return sh.routeFree(fp, true, (*Heap).RemoteFreeFat)
 }
 
 // SizeOf reports the usable size of the allocated object starting

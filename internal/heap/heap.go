@@ -193,66 +193,12 @@ type Allocator interface {
 	Name() string
 }
 
-// countMalloc updates shared counters for a successful allocation of
-// rounded bytes serving a request of size bytes.
-func countMalloc(st *Stats, size, rounded int) {
-	st.Mallocs++
-	st.BytesRequested += uint64(size)
-	st.BytesAllocated += uint64(rounded)
-	st.LiveObjects++
-	st.LiveBytes += uint64(rounded)
-	if st.LiveBytes > st.PeakLiveBytes {
-		st.PeakLiveBytes = st.LiveBytes
-	}
-}
-
-// countFree updates shared counters for a successful free of rounded
-// bytes.
-func countFree(st *Stats, rounded int) {
-	st.Frees++
-	st.LiveObjects--
-	st.LiveBytes -= uint64(rounded)
-}
-
-// CountMalloc is exported for allocator implementations in sibling
-// packages.
-func CountMalloc(st *Stats, size, rounded int) { countMalloc(st, size, rounded) }
-
-// CountFree is exported for allocator implementations in sibling
-// packages.
-func CountFree(st *Stats, rounded int) { countFree(st, rounded) }
-
-// CountMallocAtomic is CountMalloc for goroutine-safe allocators: every
-// counter update is atomic, and the live-bytes high-water mark is
-// maintained with a CAS loop. The single-goroutine baselines keep the
-// unsynchronized CountMalloc; only allocators that admit concurrent
-// mallocs pay for atomics.
-func CountMallocAtomic(st *Stats, size, rounded int) {
-	atomic.AddUint64(&st.Mallocs, 1)
-	atomic.AddUint64(&st.BytesRequested, uint64(size))
-	atomic.AddUint64(&st.BytesAllocated, uint64(rounded))
-	atomic.AddUint64(&st.LiveObjects, 1)
-	live := atomic.AddUint64(&st.LiveBytes, uint64(rounded))
-	for {
-		peak := atomic.LoadUint64(&st.PeakLiveBytes)
-		if live <= peak || atomic.CompareAndSwapUint64(&st.PeakLiveBytes, peak, live) {
-			return
-		}
-	}
-}
-
-// CountFreeAtomic is CountFree for goroutine-safe allocators.
-func CountFreeAtomic(st *Stats, rounded int) {
-	atomic.AddUint64(&st.Frees, 1)
-	atomic.AddUint64(&st.LiveObjects, ^uint64(0))
-	atomic.AddUint64(&st.LiveBytes, ^(uint64(rounded) - 1))
-}
-
-// CountMallocBatch publishes n allocations' counters at once: the
-// magazine front end (DESIGN.md §11) counts served mallocs locally and
-// pushes them here at refill/flush/drain boundaries, so the malloc fast
-// path touches no shared counter at all. reqBytes is the sum of the
-// requested sizes; allocBytes the sum of the rounded slot sizes.
+// CountMallocBatch publishes n allocations' counters at once, for
+// allocator implementations in sibling packages; an unbatched malloc is
+// n = 1. The magazine front end (DESIGN.md §11) counts served mallocs
+// locally and pushes them here at refill/flush/drain boundaries, so the
+// malloc fast path touches no shared counter at all. reqBytes is the sum
+// of the requested sizes; allocBytes the sum of the rounded slot sizes.
 func CountMallocBatch(st *Stats, n int, reqBytes, allocBytes uint64) {
 	st.Mallocs += uint64(n)
 	st.BytesRequested += reqBytes
@@ -265,7 +211,10 @@ func CountMallocBatch(st *Stats, n int, reqBytes, allocBytes uint64) {
 }
 
 // CountMallocBatchAtomic is CountMallocBatch for goroutine-safe
-// allocators. Because the batch is published after the allocations were
+// allocators: every counter update is atomic, and the live-bytes
+// high-water mark is maintained with a CAS loop. The single-goroutine
+// baselines keep the unsynchronized CountMallocBatch; only allocators
+// that admit concurrent mallocs pay for atomics. Because the batch is published after the allocations were
 // served, the live-bytes high-water mark is a lower bound on the true
 // instantaneous peak (the same quiescent-exactness contract the
 // magazine's drain barrier restores).
@@ -283,7 +232,8 @@ func CountMallocBatchAtomic(st *Stats, n int, reqBytes, allocBytes uint64) {
 	}
 }
 
-// CountFreeBatch publishes n frees' counters at once (magazine flush).
+// CountFreeBatch publishes n frees' counters at once (magazine flush);
+// an unbatched free is n = 1.
 func CountFreeBatch(st *Stats, n int, allocBytes uint64) {
 	st.Frees += uint64(n)
 	st.LiveObjects -= uint64(n)

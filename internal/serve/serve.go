@@ -223,16 +223,13 @@ type worker struct {
 	r     *rng.MWC
 	hist  Histogram
 	mode  FreeMode
-	inbox chan []heap.Ptr
-	out   chan []heap.Ptr // the next worker's inbox
-	cross []heap.Ptr      // outgoing batch under accumulation
+	gen   bool // GenTags run: objects are fat pointers, frees carry tags
+	inbox chan []heap.FatPtr
+	out   chan []heap.FatPtr // the next worker's inbox
+	cross []heap.FatPtr      // outgoing batch under accumulation
 
-	// Fat-pointer analogs of the cross-free plumbing (GenTags runs).
-	inboxFat chan []heap.FatPtr
-	outFat   chan []heap.FatPtr
-	crossFat []heap.FatPtr
-	doubles  int64 // ErrorRate double frees injected
-	wilds    int64 // ErrorRate wild frees injected
+	doubles int64 // ErrorRate double frees injected
+	wilds   int64 // ErrorRate wild frees injected
 
 	// Fault-schedule state (cfg.Faults runs only).
 	sessionN    int64      // sessions served, the fault schedule's clock
@@ -274,15 +271,46 @@ func expGap(r *rng.MWC, rate float64) time.Duration {
 	return time.Duration(-math.Log(u) / rate * float64(time.Second))
 }
 
+// malloc allocates one session object. A GenTags run allocates through
+// the fat-pointer API — unbatched, since magazines batch the thin
+// protocol; an untagged run pops the worker's magazine and carries the
+// pointer with Gen 0.
+func (w *worker) malloc(size int) (heap.FatPtr, error) {
+	if w.gen {
+		return w.sh.MallocFat(size)
+	}
+	p, err := w.mag.Malloc(size)
+	return heap.FatPtr{Addr: p}, err
+}
+
+// freeLocal releases one of the worker's own objects: through the
+// magazine, or — the gen-mode stand-in for the magazine's local route —
+// through a synchronous FreeFat. A rejected fat free (a stale tag) is an
+// expected outcome on error-injected runs, not a harness error — the
+// stats balance asserts the exact count afterwards.
+func (w *worker) freeLocal(fp heap.FatPtr) error {
+	if w.gen {
+		_, err := w.sh.FreeFat(fp)
+		return err
+	}
+	return w.mag.Free(fp.Addr)
+}
+
 // freeBatch returns a batch of foreign pointers through the configured
-// cross-free route.
-func (w *worker) freeBatch(b []heap.Ptr) error {
-	for _, p := range b {
+// cross-free route, each fat free carrying its tag to the owner's
+// arbiter.
+func (w *worker) freeBatch(b []heap.FatPtr) error {
+	for _, fp := range b {
 		var err error
-		if w.mode == FreeRemote {
-			err = w.sh.RemoteFree(p)
-		} else {
-			err = w.sh.Free(p)
+		switch {
+		case w.gen && w.mode == FreeRemote:
+			_, err = w.sh.RemoteFreeFat(fp)
+		case w.gen:
+			_, err = w.sh.FreeFat(fp)
+		case w.mode == FreeRemote:
+			err = w.sh.RemoteFree(fp.Addr)
+		default:
+			err = w.sh.Free(fp.Addr)
 		}
 		if err != nil {
 			return err
@@ -296,7 +324,7 @@ func (w *worker) freeBatch(b []heap.Ptr) error {
 // block, or two full inboxes would deadlock the ring of workers.
 func (w *worker) sendCross() error {
 	b := w.cross
-	w.cross = make([]heap.Ptr, 0, crossBatch)
+	w.cross = make([]heap.FatPtr, 0, crossBatch)
 	select {
 	case w.out <- b:
 		return nil
@@ -305,45 +333,19 @@ func (w *worker) sendCross() error {
 	}
 }
 
-// freeBatchFat is freeBatch for fat pointers: every free carries its
-// generation to the owner's arbiter. A rejected free (a stale tag) is
-// an expected outcome on error-injected runs, not a harness error — the
-// stats balance asserts the exact count afterwards.
-func (w *worker) freeBatchFat(b []heap.FatPtr) error {
-	for _, fp := range b {
-		var err error
-		if w.mode == FreeRemote {
-			_, err = w.sh.RemoteFreeFat(fp)
-		} else {
-			_, err = w.sh.FreeFat(fp)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sendCrossFat is sendCross for fat pointers.
-func (w *worker) sendCrossFat() error {
-	b := w.crossFat
-	w.crossFat = make([]heap.FatPtr, 0, crossBatch)
-	select {
-	case w.outFat <- b:
-		return nil
-	default:
-		return w.freeBatchFat(b)
-	}
-}
-
 // session serves one arrival: allocate, touch, and free a skewed mix of
 // objects, draining any cross-freed batches that showed up meanwhile.
 // With cfg.Faults, sizes are fixed (plus any Mitigator pad), the planned
-// faults are injected, and every object's token is verified at free.
-func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
+// faults are injected, and every object's token is verified at free. On
+// a GenTags run every free carries its tag, so an ErrorRate double free
+// is rejected exactly (the session's own later free of the victim
+// becomes the stale replay) and a wild interior free is ignored exactly,
+// whichever FreeMode routes them and whoever the slot belongs to by
+// then.
+func (w *worker) session(cfg *Config, objs []heap.FatPtr) error {
 	n := cfg.SessionObjects
 	fp := cfg.Faults
-	ptrs = ptrs[:0]
+	objs = objs[:0]
 	for i := 0; i < n; i++ {
 		size := 0
 		if fp != nil {
@@ -354,12 +356,13 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 		} else {
 			size = skewedSize(w.r)
 		}
-		p, err := w.mag.Malloc(size)
+		o, err := w.malloc(size)
 		if err != nil {
 			return fmt.Errorf("worker %d malloc: %w", w.id, err)
 		}
 		// The access leg: every object is written and read back, so a
 		// placement bug surfaces as a data mismatch, not just a stat.
+		p := o.Addr
 		if err := w.mem.Store64(uint64(p), uint64(p)^0xd1e); err != nil {
 			return fmt.Errorf("worker %d store: %w", w.id, err)
 		}
@@ -370,7 +373,7 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 		if v != uint64(p)^0xd1e {
 			return fmt.Errorf("worker %d: object %#x read back %#x", w.id, p, v)
 		}
-		ptrs = append(ptrs, p)
+		objs = append(objs, o)
 	}
 	if fp != nil {
 		w.sessionN++
@@ -388,7 +391,7 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 		if fp.OverflowObject >= 0 && fp.OverflowEvery > 0 && w.sessionN%fp.OverflowEvery == 0 {
 			// Past the *requested* end: a pad enlarges the slot under the
 			// object without changing where the buggy write lands.
-			base := uint64(ptrs[fp.OverflowObject]) + uint64(fp.ObjectSize)
+			base := uint64(objs[fp.OverflowObject].Addr) + uint64(fp.ObjectSize)
 			junk := make([]byte, fp.OverflowReach)
 			for i := range junk {
 				junk[i] = 0xEE
@@ -399,9 +402,9 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 			}
 		}
 		if fp.DanglingObject >= 0 && fp.DanglingEvery > 0 && w.sessionN%fp.DanglingEvery == 0 {
-			p := ptrs[fp.DanglingObject]
+			p := objs[fp.DanglingObject].Addr
 			w.stale = p
-			ptrs[fp.DanglingObject] = heap.Null
+			objs[fp.DanglingObject] = heap.FatPtr{}
 			if err := w.freeFaulted(cfg, fp.DanglingObject, p); err != nil {
 				return err
 			}
@@ -415,28 +418,31 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 	default:
 	}
 	if cfg.ErrorRate > 0 && float64(w.r.Intn(1<<20))/(1<<20) < cfg.ErrorRate {
-		// One double free (the victim is freed again below — exactly
-		// one of the two may win) and one wild interior free.
-		victim := ptrs[w.r.Intn(len(ptrs))]
-		if err := w.freeBatch([]heap.Ptr{victim, victim + 3}); err != nil {
+		// One double free — the victim is freed again below: exactly one
+		// of the two may win, and on a GenTags run the later one replays
+		// a dead tag and loses even if the slot has been reallocated by
+		// then — and one wild free, the victim's tag on a misaligned
+		// interior address.
+		victim := objs[w.r.Intn(len(objs))]
+		if err := w.freeBatch([]heap.FatPtr{victim, {Addr: victim.Addr + 3, Gen: victim.Gen}}); err != nil {
 			return err
 		}
 		w.doubles++
 		w.wilds++
 	}
 	crossN := int(cfg.CrossFraction * float64(n))
-	for i, p := range ptrs {
-		if p == heap.Null {
+	for i, o := range objs {
+		if o.Addr == heap.Null {
 			continue // prematurely freed by the fault schedule
 		}
 		if fp != nil {
-			if err := w.freeFaulted(cfg, i, p); err != nil {
+			if err := w.freeFaulted(cfg, i, o.Addr); err != nil {
 				return err
 			}
 			continue
 		}
 		if i < crossN {
-			w.cross = append(w.cross, p)
+			w.cross = append(w.cross, o)
 			if len(w.cross) >= crossBatch {
 				if err := w.sendCross(); err != nil {
 					return err
@@ -444,73 +450,7 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 			}
 			continue
 		}
-		if err := w.mag.Free(p); err != nil {
-			return fmt.Errorf("worker %d free: %w", w.id, err)
-		}
-	}
-	return nil
-}
-
-// sessionGen serves one arrival on a generation-tagged heap: the same
-// allocate/touch/free shape as session, but every object travels as a
-// fat pointer and every free carries its tag — so an ErrorRate double
-// free is rejected exactly (the session's own later free of the victim
-// becomes the stale replay) and a wild interior free is ignored
-// exactly, whichever FreeMode routes them and whoever the slot belongs
-// to by then.
-func (w *worker) sessionGen(cfg *Config, fat []heap.FatPtr) error {
-	n := cfg.SessionObjects
-	fat = fat[:0]
-	for i := 0; i < n; i++ {
-		fp, err := w.sh.MallocFat(skewedSize(w.r))
-		if err != nil {
-			return fmt.Errorf("worker %d malloc: %w", w.id, err)
-		}
-		if err := w.mem.Store64(uint64(fp.Addr), uint64(fp.Addr)^0xd1e); err != nil {
-			return fmt.Errorf("worker %d store: %w", w.id, err)
-		}
-		v, err := w.mem.Load64(uint64(fp.Addr))
-		if err != nil {
-			return fmt.Errorf("worker %d load: %w", w.id, err)
-		}
-		if v != uint64(fp.Addr)^0xd1e {
-			return fmt.Errorf("worker %d: object %#x read back %#x", w.id, fp.Addr, v)
-		}
-		fat = append(fat, fp)
-	}
-	select {
-	case b := <-w.inboxFat:
-		if err := w.freeBatchFat(b); err != nil {
-			return err
-		}
-	default:
-	}
-	if cfg.ErrorRate > 0 && float64(w.r.Intn(1<<20))/(1<<20) < cfg.ErrorRate {
-		victim := fat[w.r.Intn(len(fat))]
-		// The double's first free wins; the session's later free of the
-		// victim replays a dead tag and must lose, even if the slot has
-		// been reallocated by then. The wild free reuses the victim's
-		// live tag on a misaligned interior address.
-		if err := w.freeBatchFat([]heap.FatPtr{victim, {Addr: victim.Addr + 3, Gen: victim.Gen}}); err != nil {
-			return err
-		}
-		w.doubles++
-		w.wilds++
-	}
-	crossN := int(cfg.CrossFraction * float64(n))
-	for i, fp := range fat {
-		if i < crossN {
-			w.crossFat = append(w.crossFat, fp)
-			if len(w.crossFat) >= crossBatch {
-				if err := w.sendCrossFat(); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		// Local frees are synchronous FreeFat — the gen-mode stand-in
-		// for the magazine's local route.
-		if _, err := w.sh.FreeFat(fp); err != nil {
+		if err := w.freeLocal(o); err != nil {
 			return fmt.Errorf("worker %d free: %w", w.id, err)
 		}
 	}
@@ -573,11 +513,7 @@ func (w *worker) run(cfg *Config, quota int64, sessions *sync.WaitGroup, errOut 
 		burstFactor = 1 + cfg.BurstProb*float64(cfg.BurstLen-1)
 	}
 	drawRate := cfg.Rate / float64(cfg.Workers) / burstFactor
-	ptrs := make([]heap.Ptr, 0, cfg.SessionObjects)
-	var fat []heap.FatPtr
-	if cfg.GenTags {
-		fat = make([]heap.FatPtr, 0, cfg.SessionObjects)
-	}
+	objs := make([]heap.FatPtr, 0, cfg.SessionObjects)
 	next := time.Now()
 	burst := 0
 	for s := int64(0); s < quota; s++ {
@@ -596,13 +532,7 @@ func (w *worker) run(cfg *Config, quota int64, sessions *sync.WaitGroup, errOut 
 			}
 			arrival = next
 		}
-		var err error
-		if cfg.GenTags {
-			err = w.sessionGen(cfg, fat)
-		} else {
-			err = w.session(cfg, ptrs)
-		}
-		if err != nil {
+		if err := w.session(cfg, objs); err != nil {
 			fail(err)
 			break
 		}
@@ -618,23 +548,11 @@ func (w *worker) run(cfg *Config, quota int64, sessions *sync.WaitGroup, errOut 
 			fail(err)
 		}
 	}
-	if len(w.crossFat) > 0 {
-		if err := w.sendCrossFat(); err != nil {
-			fail(err)
-		}
-	}
 	sessions.Done()
-	// Producers may still be handing batches over; the inboxes are
-	// closed by the driver once every worker has passed the barrier
-	// above. (Only one of the two carries traffic; the other closes
-	// empty.)
+	// Producers may still be handing batches over; the inbox is closed
+	// by the driver once every worker has passed the barrier above.
 	for b := range w.inbox {
 		if err := w.freeBatch(b); err != nil {
-			fail(err)
-		}
-	}
-	for b := range w.inboxFat {
-		if err := w.freeBatchFat(b); err != nil {
 			fail(err)
 		}
 	}
@@ -759,10 +677,9 @@ func Run(cfg Config) (*Result, error) {
 			mem:        sh.Mem(),
 			r:          rng.NewSeeded(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15 + 1),
 			mode:       cfg.FreeMode,
-			inbox:      make(chan []heap.Ptr, 8),
-			cross:      make([]heap.Ptr, 0, crossBatch),
-			inboxFat:   make(chan []heap.FatPtr, 8),
-			crossFat:   make([]heap.FatPtr, 0, crossBatch),
+			gen:        cfg.GenTags,
+			inbox:      make(chan []heap.FatPtr, 8),
+			cross:      make([]heap.FatPtr, 0, crossBatch),
 			ring:       ring,
 			ctrSess:    ctrSess,
 			ctrCorrupt: ctrCorrupt,
@@ -773,7 +690,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	for i, w := range workers {
 		w.out = workers[(i+1)%len(workers)].inbox
-		w.outFat = workers[(i+1)%len(workers)].inboxFat
 	}
 
 	var (
@@ -799,7 +715,6 @@ func Run(cfg Config) (*Result, error) {
 	sessions.Wait()
 	for _, w := range workers {
 		close(w.inbox)
-		close(w.inboxFat)
 	}
 	all.Wait()
 	elapsed := time.Since(start)

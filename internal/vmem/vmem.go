@@ -188,10 +188,6 @@ const (
 	// different cells, so shared-mode accounting no longer serializes
 	// every access on one contended cacheline.
 	StatsShared
-	// StatsOff disables per-access counting entirely: the fastest mode
-	// for concurrent throughput work where counts are not needed.
-	// Mapping counters (PagesMapped, PagesDirty, Faults) still update.
-	StatsOff
 )
 
 // statsCells is the number of striped counter cells in StatsShared mode.
@@ -328,8 +324,7 @@ func NewSpace() *Space {
 // default, StatsPrecise, is exact and free of synchronization but assumes
 // accesses are not concurrent with each other; spaces accessed by several
 // goroutines at once use StatsShared (striped atomic cells, exact,
-// aggregated by Stats) or StatsOff (uncounted). Must be called before the
-// space is shared. TLB accounting only runs under StatsPrecise.
+// aggregated by Stats). Must be called before the space is shared. TLB accounting only runs under StatsPrecise.
 func (s *Space) SetStatsMode(m StatsMode) {
 	s.mode = m
 	if m == StatsShared && s.cells == nil {
@@ -464,7 +459,7 @@ func (s *Space) PageGranularBulk() {}
 func (s *Space) countLoads(addr, n uint64) {
 	if s.mode == StatsPrecise {
 		s.stats.Loads += n
-	} else if s.mode == StatsShared {
+	} else {
 		s.cells[(addr>>pageShift)&(statsCells-1)].loads.Add(n)
 	}
 }
@@ -472,7 +467,7 @@ func (s *Space) countLoads(addr, n uint64) {
 func (s *Space) countStores(addr, n uint64) {
 	if s.mode == StatsPrecise {
 		s.stats.Stores += n
-	} else if s.mode == StatsShared {
+	} else {
 		s.cells[(addr>>pageShift)&(statsCells-1)].stores.Add(n)
 	}
 }
