@@ -275,8 +275,8 @@ func (h *Heap) Stats() heap.Stats { return h.h.StatsSnapshot() }
 
 // PublishMetrics registers the heap's counters as core.* gauges in the
 // registry (DESIGN.md §14); with DetectCanaries the detect.* gauges
-// are registered too. Gauges pull atomically from the live Stats, so
-// the registry can be snapshot while the heap serves.
+// are registered too. Gauges read a fresh Stats snapshot at scrape
+// time, so the registry can be snapshot while the heap serves.
 func (h *Heap) PublishMetrics(reg *ObsRegistry, labels ...ObsLabel) {
 	h.h.PublishMetrics(reg, labels...)
 	if h.det != nil {

@@ -354,18 +354,53 @@ func (r *classRegions) locate(idx int) (*subregion, int) {
 // real multi-goroutine use; sequential heaps run the same protocol
 // fence-free (plain fields + sync/atomic function calls, so each heap
 // pays only for the ordering it needs).
+//
+// The struct is two 64-byte lines (DESIGN.md §7). The first holds every
+// word a claim or a free of the class writes — the stream, occupancy,
+// the claim count and the class ledger — so an operation dirties one
+// line its class owns, and classes never share one. The second is
+// read-mostly. Heap.classes starts on a line boundary (see Heap;
+// TestSizeClassLayout pins the layout and the alignment).
 type sizeClass struct {
-	mu        sync.Mutex // adaptive growth
-	randState uint64     // packed MWC probe/fill stream (rng.Step)
+	randState uint64 // packed MWC probe/fill stream (rng.Step)
+	inUse     int64  // live slots; never exceeds maxInUse
+	mallocs   uint64 // slots claimed: unbatched mallocs plus magazine refills
+	ledger    classLedger
 
+	mu       sync.Mutex // adaptive growth
 	size     int
 	shift    uint                         // log2(size), for divisions on the hot path
 	mask     uint64                       // size - 1, for alignment checks on the hot path
 	regions  atomic.Pointer[classRegions] // subregions + slot total, copy-on-write
-	inUse    int64                        // live slots; never exceeds maxInUse
 	maxInUse atomic.Int64                 // threshold: floor(totalSlots / M)
 	capSlots int                          // adaptive growth stops here
-	mallocs  uint64
+	_        [8]byte                      // pad to two full lines
+}
+
+// classLedger is a size class's share of the heap counters: everything
+// heap.Stats reports about small objects derives from the twelve
+// ledgers and the claim counts (Heap.StatsSnapshot). A malloc is served
+// when its pointer reaches the program — at once for Malloc, at the
+// publication of a magazine's pending batch for magazine pops. peak is
+// the class's high-water mark of served − frees.
+type classLedger struct {
+	served   uint64 // mallocs served
+	frees    uint64 // frees that released a slot
+	reqBytes uint64 // requested bytes of the served mallocs
+	probes   uint64 // bitmap probes of committed claims
+	peak     uint64 // live high-water mark, in objects
+}
+
+// largeLedger is the large objects' share of the heap counters, the
+// one large-object counterpart of classLedger: counts and bytes, since
+// large objects vary in size, with the live high-water mark in bytes.
+type largeLedger struct {
+	mallocs    uint64
+	frees      uint64
+	reqBytes   uint64
+	allocBytes uint64 // usable (page-rounded) bytes allocated
+	freedBytes uint64 // usable bytes freed
+	peakBytes  uint64 // high-water mark of allocBytes − freedBytes
 }
 
 // largeObject records an mmap'd allocation (> MaxObjectSize), which lives
@@ -393,12 +428,22 @@ type pageIndex struct {
 // access. Each simulated process still typically owns its own Heap, just
 // as each DieHard replica owns its own randomized allocator.
 type Heap struct {
+	// The Go allocator (1.22 and later) places an object of this size on
+	// a 64-byte boundary behind an 8-byte type header; the pad puts
+	// classes on the next boundary, so each class's hot line is a whole
+	// cache line.
+	_           [56]byte
+	classes     [NumClasses]sizeClass
 	opts        Options
 	space       *vmem.Space
 	seed        uint64
 	atomicStats bool // Concurrent heaps maintain stats atomically
-	classes     [NumClasses]sizeClass
-	stats       heap.Stats
+	// stats holds the counters of rare events (failures, ignored and
+	// stale frees, retries, ring and quarantine traffic, mmap and fill
+	// work); its per-operation fields stay zero — StatsSnapshot derives
+	// them from the class and large-object ledgers.
+	stats    heap.Stats
+	largeLdg largeLedger
 
 	largeMu   sync.Mutex
 	large     map[heap.Ptr]largeObject
@@ -437,33 +482,51 @@ type Heap struct {
 
 var _ heap.Allocator = (*Heap)(nil)
 
-// addStat bumps a stats counter: atomically for Concurrent heaps, with a
-// plain add otherwise — sequential trials keep their unsynchronized
-// speed, concurrent heaps stay exact under -race.
-func (h *Heap) addStat(p *uint64, n uint64) {
+// addStat bumps a counter and returns its new value: atomically for
+// Concurrent heaps, with a plain add otherwise — sequential trials keep
+// their unsynchronized speed, concurrent heaps stay exact under -race.
+func (h *Heap) addStat(p *uint64, n uint64) uint64 {
 	if h.atomicStats {
-		atomic.AddUint64(p, n)
-	} else {
-		*p += n
+		return atomic.AddUint64(p, n)
+	}
+	*p += n
+	return *p
+}
+
+// loadStat reads a counter under the same discipline.
+func (h *Heap) loadStat(p *uint64) uint64 {
+	if h.atomicStats {
+		return atomic.LoadUint64(p)
+	}
+	return *p
+}
+
+// raise lifts the high-water mark *hw to live. A negative live — frees
+// counted ahead of a magazine batch whose mallocs are not yet served —
+// never moves it.
+func (h *Heap) raise(hw *uint64, live int64) {
+	if !h.atomicStats {
+		if live > int64(*hw) {
+			*hw = uint64(live)
+		}
+		return
+	}
+	for {
+		cur := atomic.LoadUint64(hw)
+		if live <= int64(cur) || atomic.CompareAndSwapUint64(hw, cur, uint64(live)) {
+			return
+		}
 	}
 }
 
-// countMallocs and countFrees publish n allocations' or frees' counters
-// with the heap's stats discipline; an unbatched malloc or free is n = 1.
-func (h *Heap) countMallocs(n int, reqBytes, allocBytes uint64) {
-	if h.atomicStats {
-		heap.CountMallocBatchAtomic(&h.stats, n, reqBytes, allocBytes)
-	} else {
-		heap.CountMallocBatch(&h.stats, n, reqBytes, allocBytes)
-	}
-}
-
-func (h *Heap) countFrees(n int, allocBytes uint64) {
-	if h.atomicStats {
-		heap.CountFreeBatchAtomic(&h.stats, n, allocBytes)
-	} else {
-		heap.CountFreeBatch(&h.stats, n, allocBytes)
-	}
+// serve counts n mallocs of class cl, requesting reqBytes in all, as
+// handed to the program, and raises the class's live high-water mark.
+// Every word it touches is on the class's hot line.
+func (h *Heap) serve(cl *sizeClass, n int, reqBytes uint64) {
+	l := &cl.ledger
+	served := h.addStat(&l.served, uint64(n))
+	h.addStat(&l.reqBytes, reqBytes)
+	h.raise(&l.peak, int64(served-h.loadStat(&l.frees)))
 }
 
 // New creates a DieHard heap with the given options.
@@ -696,7 +759,7 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 		return heap.Null, err
 	}
 	ptr, slotSize := slot[0], ClassSize(c)
-	h.countMallocs(1, uint64(size), uint64(slotSize))
+	h.serve(&h.classes[c], 1, uint64(size))
 	if h.trace != nil {
 		h.trace.Emit(obs.EvMalloc, ptr)
 	}
@@ -820,7 +883,7 @@ func (h *Heap) claim(c int, out []heap.Ptr) (int, error) {
 	if replays > 0 {
 		h.addStat(&h.stats.CASRetries, uint64(replays))
 	}
-	h.countClaim(got, probes)
+	h.addStat(&cl.ledger.probes, uint64(probes))
 	return got, nil
 }
 
@@ -870,21 +933,13 @@ func (h *Heap) claimPlain(c int, out []heap.Ptr) (int, error) {
 	}
 	cl.randState = st
 	cl.mallocs += uint64(got)
-	h.countClaim(got, probes)
+	cl.ledger.probes += uint64(probes)
 	return got, nil
 }
 
 // errNoFreeSlot reports a probe sequence that found no free slot below
 // the fill threshold: possible only when the metadata is inconsistent.
 var errNoFreeSlot error = &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-
-// countClaim charges a committed claim of got slots and its probes to
-// the heap's work and probe counters.
-func (h *Heap) countClaim(got, probes int) {
-	h.addStat(&h.stats.Probes, uint64(probes))
-	h.addStat(&h.stats.WorkUnits,
-		uint64(got)*(heap.WorkSizeClass+heap.WorkBitmap)+uint64(probes)*heap.WorkProbe)
-}
 
 // unclaim hands claimed but never-served slots back to their class:
 // each is released through the ordinary free arbitration, so a slot a
@@ -1085,7 +1140,11 @@ func (h *Heap) allocateLargeObject(size int) (heap.Ptr, error) {
 		return heap.Null, fillErr
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
-	h.countMallocs(1, uint64(size), uint64(npages*vmem.PageSize))
+	lg := &h.largeLdg
+	h.addStat(&lg.mallocs, 1)
+	h.addStat(&lg.reqBytes, uint64(size))
+	alloc := h.addStat(&lg.allocBytes, uint64(npages*vmem.PageSize))
+	h.raise(&lg.peakBytes, int64(alloc-h.loadStat(&lg.freedBytes)))
 	if h.opts.OnAlloc != nil {
 		h.opts.OnAlloc(base, size, npages*vmem.PageSize)
 	}
@@ -1219,8 +1278,7 @@ func (h *Heap) freeSlot(cl *sizeClass, sub *subregion, local int, p heap.Ptr) bo
 		return false
 	}
 	h.addInUse(cl, -1)
-	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
-	h.countFrees(1, uint64(cl.size))
+	h.addStat(&cl.ledger.frees, 1)
 	if h.trace != nil {
 		h.trace.Emit(obs.EvFree, p)
 	}
@@ -1251,7 +1309,8 @@ func (h *Heap) finishLargeFree(p heap.Ptr, lo largeObject) error {
 		return err
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
-	h.countFrees(1, uint64(usable))
+	h.addStat(&h.largeLdg.frees, 1)
+	h.addStat(&h.largeLdg.freedBytes, uint64(usable))
 	if h.trace != nil {
 		h.trace.Emit(obs.EvFree, p)
 	}
@@ -1487,10 +1546,12 @@ func (h *Heap) ownsLarge(p heap.Ptr) bool {
 // Mem returns the simulated address space backing this heap.
 func (h *Heap) Mem() *vmem.Space { return h.space }
 
-// Stats returns the allocator counters, updated in place (atomically
-// when the heap is Concurrent); under concurrent use, read them only at
-// quiescence.
-func (h *Heap) Stats() *heap.Stats { return &h.stats }
+// Stats returns a fresh snapshot of the allocator counters
+// (StatsSnapshot), not a live view: re-read it to see later operations.
+func (h *Heap) Stats() *heap.Stats {
+	st := h.StatsSnapshot()
+	return &st
+}
 
 // Name identifies the allocator in experiment reports.
 func (h *Heap) Name() string {
@@ -1543,31 +1604,33 @@ func (h *Heap) LargeObjects() int {
 
 // CheckInvariants verifies the segregated metadata against itself: per-
 // class live counts match bitmap population, thresholds are respected,
-// and subregion accounting is consistent. Property tests call this after
-// randomized (including concurrent) workloads; each class is checked
-// under its own lock. The bitmap-population == inUse comparison is
-// exact only at quiescence — every CAS winner pairs
+// subregion accounting is consistent, and every class ledger balances
+// against its occupancy (served − frees == inUse, DESIGN.md §7), as the
+// large-object ledger does against the large-object table. Property
+// tests call this after randomized (including concurrent) workloads;
+// each class is checked under its own lock. The bitmap-population ==
+// inUse comparison is exact only at quiescence — every CAS winner pairs
 // its bit with a counter reservation, but the two updates are not one
 // atomic step — which is precisely when the stress tests call it. Every
 // registered magazine is drained first (the drain barrier of DESIGN.md
 // §11), then the remote-free ring (§12) — queued remote frees hold
 // their bit and occupancy unit until drained, so they never break the
-// popcount comparison, but draining them here restores exact Frees/
-// LiveObjects counters and exact FreeSlots walks at the barrier. Like
-// the popcount comparison, draining requires the magazines' owner
-// goroutines to be quiescent.
+// popcount comparison, but draining them here restores exact ledgers
+// and exact FreeSlots walks at the barrier. Like the popcount
+// comparison, draining requires the magazines' owner goroutines to be
+// quiescent.
 func (h *Heap) CheckInvariants() error { return h.checkInvariants(0) }
 
 // CheckInvariantsSlack is CheckInvariants with the documented §12
 // allowance for UNTAGGED heaps under deliberate double-free injection:
 // a double free whose second half lands after the slot was reallocated
 // or magazine-pre-claimed is indistinguishable from a valid free in any
-// bitmap allocator, so each such straddle can skew the Mallocs/Frees/
-// LiveObjects ledger by one against the (always exact) bitmap
-// population. The structural invariants — per-class popcount == inUse,
-// bitmap/metadata consistency — take NO slack; only the two aggregate
-// stats cross-checks tolerate an absolute skew of at most `slack`
-// (callers pass their injected double-free count). Generation-tagged
+// bitmap allocator, so each such straddle can skew one class ledger by
+// one against the (always exact) bitmap population. The structural
+// invariants — per-class popcount == inUse, bitmap/metadata consistency
+// — take NO slack; only the ledger balance tolerates a total absolute
+// skew, summed over the classes and the large objects, of at most
+// `slack` (callers pass their injected double-free count). Generation-tagged
 // heaps never need this: the gens CAS rejects the straddling half as
 // stale (DESIGN.md §15), so tagged callers use the exact barrier.
 func (h *Heap) CheckInvariantsSlack(slack uint64) error { return h.checkInvariants(slack) }
@@ -1575,7 +1638,12 @@ func (h *Heap) CheckInvariantsSlack(slack uint64) error { return h.checkInvarian
 func (h *Heap) checkInvariants(slack uint64) error {
 	h.DrainMagazines()
 	h.drainRemote(-1)
-	inUse := 0
+	// Ledger balance: at a post-drain barrier each class's served −
+	// frees must equal its occupancy, which the structural check just
+	// tied to the bitmap population — live objects plus quarantined
+	// holds and retired slots, which keep their bit and were never
+	// counted freed. Frees load before served, as in StatsSnapshot.
+	var skew uint64
 	for c := range h.classes {
 		cl := &h.classes[c]
 		cl.mu.Lock()
@@ -1584,29 +1652,28 @@ func (h *Heap) checkInvariants(slack uint64) error {
 		if err != nil {
 			return err
 		}
-		inUse += int(atomic.LoadInt64(&cl.inUse))
-	}
-	// Counter cross-check (atomic snapshot, not direct field reads — the
-	// StatsSnapshot discipline): at a post-drain barrier the aggregate
-	// counters must balance exactly. Mallocs − Frees = LiveObjects by
-	// construction of every count path, so a torn or unsynchronized
-	// update surfaces here; and the bitmap population just verified per
-	// class must equal the live small objects plus quarantined holds
-	// (held slots keep their bit) when large objects are added in.
-	st := h.StatsSnapshot()
-	if skew := int64(st.Mallocs-st.Frees) - int64(st.LiveObjects); absSkew(skew) > slack {
-		return fmt.Errorf("stats: mallocs %d - frees %d != live objects %d",
-			st.Mallocs, st.Frees, st.LiveObjects)
+		frees := h.loadStat(&cl.ledger.frees)
+		served := h.loadStat(&cl.ledger.served)
+		inUse := atomic.LoadInt64(&cl.inUse)
+		if d := absSkew(int64(served-frees) - inUse); d > 0 {
+			if skew += d; skew > slack {
+				return fmt.Errorf("class %d: ledger served %d - frees %d != occupancy %d",
+					c, served, frees, inUse)
+			}
+		}
 	}
 	h.largeMu.Lock()
 	large := len(h.large)
 	h.largeMu.Unlock()
-	if skew := int64(inUse+large) - int64(st.LiveObjects); absSkew(skew) > slack {
-		return fmt.Errorf("stats: class occupancy %d + large %d != live objects %d",
-			inUse, large, st.LiveObjects)
+	lg := &h.largeLdg
+	frees := h.loadStat(&lg.frees)
+	mallocs := h.loadStat(&lg.mallocs)
+	if skew += absSkew(int64(mallocs-frees) - int64(large)); skew > slack {
+		return fmt.Errorf("large objects: ledger mallocs %d - frees %d != live %d",
+			mallocs, frees, large)
 	}
 	if h.trace != nil {
-		h.trace.Emit(obs.EvBarrier, st.LiveObjects)
+		h.trace.Emit(obs.EvBarrier, h.StatsSnapshot().LiveObjects)
 	}
 	return nil
 }
@@ -1625,18 +1692,94 @@ func absSkew(d int64) uint64 {
 func (h *Heap) SetTrace(r *obs.Ring) { h.trace = r }
 
 // StatsSnapshot returns a consistent-at-quiescence copy of the
-// counters: atomically loaded for Concurrent heaps (a direct
-// `*h.Stats()` copy races with the atomic writers), a plain copy for
-// sequential ones.
+// counters (DESIGN.md §7): the rare-event counters as stored, and the
+// per-operation ones derived from the class and large-object ledgers.
+// Concurrent heaps load every word atomically. Each ledger's frees load
+// before its mallocs, so no snapshot shows more frees than mallocs.
+// PeakLiveBytes is the sum of the per-class high-water marks (each
+// times its class size) and the large-object one: an upper bound on
+// the true simultaneous peak.
 func (h *Heap) StatsSnapshot() heap.Stats {
+	var st heap.Stats
 	if h.atomicStats {
-		return h.stats.SnapshotAtomic()
+		st = h.stats.SnapshotAtomic()
+	} else {
+		st = h.stats
 	}
-	return h.stats
+	for c := range h.classes {
+		cl := &h.classes[c]
+		l := &cl.ledger
+		size := uint64(cl.size)
+		frees := h.loadStat(&l.frees)
+		served := h.loadStat(&l.served)
+		probes := h.loadStat(&l.probes)
+		st.Mallocs += served
+		st.Frees += frees
+		st.BytesRequested += h.loadStat(&l.reqBytes)
+		st.BytesAllocated += served * size
+		st.LiveBytes += (served - frees) * size
+		st.PeakLiveBytes += h.loadStat(&l.peak) * size
+		st.Probes += probes
+		st.WorkUnits += h.loadStat(&cl.mallocs)*(heap.WorkSizeClass+heap.WorkBitmap) +
+			probes*heap.WorkProbe + frees*heap.WorkBitmap
+	}
+	lg := &h.largeLdg
+	st.Frees += h.loadStat(&lg.frees)
+	st.Mallocs += h.loadStat(&lg.mallocs)
+	st.BytesRequested += h.loadStat(&lg.reqBytes)
+	freed := h.loadStat(&lg.freedBytes)
+	alloc := h.loadStat(&lg.allocBytes)
+	st.BytesAllocated += alloc
+	st.LiveBytes += alloc - freed
+	st.PeakLiveBytes += h.loadStat(&lg.peakBytes)
+	st.LiveObjects = st.Mallocs - st.Frees
+	return st
+}
+
+// largeLiveBytes is the usable bytes of this heap's live large objects,
+// read from the large-object ledger: what ShardedHeap routes large
+// mallocs on.
+func (h *Heap) largeLiveBytes() int64 {
+	freed := h.loadStat(&h.largeLdg.freedBytes)
+	return int64(h.loadStat(&h.largeLdg.allocBytes) - freed)
+}
+
+// statGauges are the core.* gauges PublishMetrics registers; each reads
+// its field from a fresh snapshot.
+var statGauges = []struct {
+	name string
+	f    func(*heap.Stats) uint64
+}{
+	{"core.mallocs", func(st *heap.Stats) uint64 { return st.Mallocs }},
+	{"core.frees", func(st *heap.Stats) uint64 { return st.Frees }},
+	{"core.failed_mallocs", func(st *heap.Stats) uint64 { return st.FailedMallocs }},
+	{"core.ignored_frees", func(st *heap.Stats) uint64 { return st.IgnoredFrees }},
+	{"core.live_objects", func(st *heap.Stats) uint64 { return st.LiveObjects }},
+	{"core.live_bytes", func(st *heap.Stats) uint64 { return st.LiveBytes }},
+	{"core.peak_live_bytes", func(st *heap.Stats) uint64 { return st.PeakLiveBytes }},
+	{"core.probes", func(st *heap.Stats) uint64 { return st.Probes }},
+	{"core.cas_retries", func(st *heap.Stats) uint64 { return st.CASRetries }},
+	{"core.remote_frees", func(st *heap.Stats) uint64 { return st.RemoteFrees }},
+	{"core.remote_drains", func(st *heap.Stats) uint64 { return st.RemoteDrains }},
+	{"core.quarantined", func(st *heap.Stats) uint64 { return st.Quarantined }},
+	{"core.quarantine_released", func(st *heap.Stats) uint64 { return st.QuarantineOut }},
+	{"core.stale_frees", func(st *heap.Stats) uint64 { return st.StaleFrees }},
+	{"core.retired_slots", func(st *heap.Stats) uint64 { return st.Retired }},
+}
+
+// publishStats registers statGauges over snap in reg.
+func publishStats(reg *obs.Registry, snap func() heap.Stats, labels ...obs.Label) {
+	for _, g := range statGauges {
+		f := g.f
+		reg.Gauge(g.name, func() float64 {
+			st := snap()
+			return float64(f(&st))
+		}, labels...)
+	}
 }
 
 // PublishMetrics registers the heap's counters as gauges in reg under
-// the core.* namespace. Gauges pull atomically at snapshot time, so a
+// the core.* namespace. Gauges read a snapshot at scrape time, so a
 // live scrape of a Concurrent heap is race-free; the usual quiescent-
 // exactness contract applies to cross-counter consistency. Labels
 // (e.g. shard=N) distinguish multiple heaps in one registry.
@@ -1644,30 +1787,7 @@ func (h *Heap) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
 		return
 	}
-	type g struct {
-		name string
-		f    *uint64
-	}
-	for _, m := range []g{
-		{"core.mallocs", &h.stats.Mallocs},
-		{"core.frees", &h.stats.Frees},
-		{"core.failed_mallocs", &h.stats.FailedMallocs},
-		{"core.ignored_frees", &h.stats.IgnoredFrees},
-		{"core.live_objects", &h.stats.LiveObjects},
-		{"core.live_bytes", &h.stats.LiveBytes},
-		{"core.peak_live_bytes", &h.stats.PeakLiveBytes},
-		{"core.probes", &h.stats.Probes},
-		{"core.cas_retries", &h.stats.CASRetries},
-		{"core.remote_frees", &h.stats.RemoteFrees},
-		{"core.remote_drains", &h.stats.RemoteDrains},
-		{"core.quarantined", &h.stats.Quarantined},
-		{"core.quarantine_released", &h.stats.QuarantineOut},
-		{"core.stale_frees", &h.stats.StaleFrees},
-		{"core.retired_slots", &h.stats.Retired},
-	} {
-		f := m.f
-		reg.Gauge(m.name, func() float64 { return float64(atomic.LoadUint64(f)) }, labels...)
-	}
+	publishStats(reg, h.StatsSnapshot, labels...)
 }
 
 func (cl *sizeClass) checkLocked(c int) error {

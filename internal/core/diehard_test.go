@@ -501,6 +501,7 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	_ = h.Free(p1)
 	_ = h.Free(p2)
+	st = h.Stats()
 	if st.LiveBytes != 0 || st.PeakLiveBytes != 136 {
 		t.Fatalf("after frees live=%d peak=%d", st.LiveBytes, st.PeakLiveBytes)
 	}
@@ -637,6 +638,42 @@ func BenchmarkMallocFreePair(b *testing.B) {
 		p, _ := h.Malloc(64)
 		_ = h.Free(p)
 	}
+}
+
+// BenchmarkShardedFatPair is the benchmark ladder's rung for the
+// unbatched safe path (ROADMAP.md): a MallocFat + FreeFat pair of a
+// 64-byte object on a 2-shard Concurrent GenTags heap, from one
+// goroutine (seq) and from GOMAXPROCS goroutines (parallel).
+func BenchmarkShardedFatPair(b *testing.B) {
+	sh, err := NewSharded(2, Options{HeapSize: 96 << 20, Seed: 1, Concurrent: true, GenTags: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pair := func() error {
+		fp, err := sh.MallocFat(64)
+		if err != nil {
+			return err
+		}
+		_, err = sh.FreeFat(fp)
+		return err
+	}
+	b.Run("seq", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := pair(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := pair(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }
 
 // TestDifferentialModel runs a randomized operation sequence against the

@@ -288,16 +288,16 @@ func (h *Heap) RemoteFreeFat(fp heap.FatPtr) (accepted bool, err error) {
 	return h.remoteFree(fp)
 }
 
-// MallocFat allocates from the emptiest shard (the Malloc routing) and
-// returns the fat pointer with the owning shard's generation.
+// MallocFat allocates through the Malloc routing and returns the fat
+// pointer with the generation of the shard that served it. Like
+// Heap.MallocFat it refuses an untagged heap before allocating.
 func (sh *ShardedHeap) MallocFat(size int) (heap.FatPtr, error) {
-	p, err := sh.Malloc(size)
+	if !sh.shards[0].opts.GenTags {
+		return heap.FatPtr{}, ErrNotGenTagged
+	}
+	p, s, err := sh.malloc(size)
 	if err != nil {
 		return heap.FatPtr{}, err
-	}
-	s := sh.owner(p)
-	if s == nil || !s.opts.GenTags {
-		return heap.FatPtr{}, ErrNotGenTagged
 	}
 	g, _ := s.GenOf(p)
 	return heap.FatPtr{Addr: p, Gen: g}, nil

@@ -10,6 +10,7 @@ package core
 // detector in CI.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -778,5 +779,32 @@ func TestShardedUnownedStaleFreeEvidence(t *testing.T) {
 				t.Errorf("EvStaleFree events %+v; want one on router ring %d for %#x", stale, sh.Shards(), fp.Addr)
 			}
 		})
+	}
+}
+
+// TestShardedMallocFatUntagged pins the refusal order of the sharded fat
+// malloc: on an untagged heap it returns ErrNotGenTagged before routing,
+// as Heap.MallocFat does, so no slot is claimed for a pointer the caller
+// never receives.
+func TestShardedMallocFatUntagged(t *testing.T) {
+	sh, err := NewSharded(2, Options{HeapSize: 8 << 20, Seed: 44})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{48, MaxObjectSize + 100} {
+		if _, err := sh.MallocFat(size); !errors.Is(err, ErrNotGenTagged) {
+			t.Fatalf("MallocFat(%d) on an untagged heap: err = %v; want ErrNotGenTagged", size, err)
+		}
+	}
+	if st := sh.StatsSnapshot(); st.Mallocs != 0 || st.LiveObjects != 0 {
+		t.Errorf("refused MallocFat left Mallocs = %d, LiveObjects = %d; want 0, 0", st.Mallocs, st.LiveObjects)
+	}
+	for i := 0; i < sh.Shards(); i++ {
+		if use := sh.Shard(i).ClassInUse(ClassFor(48)); use != 0 {
+			t.Errorf("shard %d holds %d slots after a refused MallocFat; want 0", i, use)
+		}
+	}
+	if err := sh.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -273,14 +273,13 @@ func (m *Magazine) refill(c int, cm *classMagazine) error {
 	return nil
 }
 
-// publishMallocs pushes the class's served-malloc counters to the owner
-// the slots came from, in one batched stats update.
+// publishMallocs serves the class's pending pops on the ledger of the
+// owner the slots came from, in one batched update.
 func (m *Magazine) publishMallocs(c int, cm *classMagazine) {
 	if cm.pendingMallocs == 0 {
 		return
 	}
-	alloc := uint64(cm.pendingMallocs) * uint64(ClassSize(c))
-	cm.owner.countMallocs(cm.pendingMallocs, cm.pendingReq, alloc)
+	cm.owner.serve(&cm.owner.classes[c], cm.pendingMallocs, cm.pendingReq)
 	cm.pendingMallocs = 0
 	cm.pendingReq = 0
 }
@@ -399,15 +398,15 @@ func (h *Heap) DrainMagazines() {
 }
 
 // finishBatchedFrees publishes a flush batch's outcome for this heap
-// and resets the tally: wins release occupancy and count as frees in one
-// shot; losers are the §4.3 double frees, detected (their release found
-// the slot already free) and ignored; retired slots keep their unit.
+// and resets the tally: wins release occupancy and count on the class
+// ledger in one shot; losers are the §4.3 double frees, detected (their
+// release found the slot already free) and ignored; retired slots keep
+// their unit.
 func (h *Heap) finishBatchedFrees(c int, t *freeTally) {
 	if wins := t[genWin]; wins > 0 {
 		cl := &h.classes[c]
 		h.addInUse(cl, -int64(wins))
-		h.addStat(&h.stats.WorkUnits, uint64(wins)*heap.WorkBitmap)
-		h.countFrees(wins, uint64(wins)*uint64(cl.size))
+		h.addStat(&cl.ledger.frees, uint64(wins))
 	}
 	if t[genLose] > 0 {
 		h.addStat(&h.stats.IgnoredFrees, uint64(t[genLose]))

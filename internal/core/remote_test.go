@@ -93,6 +93,7 @@ func TestRemoteFreeDeferral(t *testing.T) {
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	st = h.Stats()
 	if st.Frees != n || st.LiveObjects != 0 {
 		t.Fatalf("after barrier: Frees = %d, LiveObjects = %d; want %d, 0", st.Frees, st.LiveObjects, n)
 	}
@@ -184,6 +185,7 @@ func TestRemoteFreeFullRingFallsBack(t *testing.T) {
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	st = h.Stats()
 	if st.Frees != uint64(n) || st.LiveObjects != 0 {
 		t.Errorf("after barrier: Frees = %d, LiveObjects = %d; want %d, 0", st.Frees, st.LiveObjects, n)
 	}

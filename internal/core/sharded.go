@@ -47,12 +47,17 @@ type ShardedHeap struct {
 	stats  heap.Stats // aggregate snapshot storage is per-call; this holds sharded-level counters (ignored frees)
 
 	// route is the per-class steal-routing hysteresis word (DESIGN.md
-	// §11): shard index in the high half, requests remaining in the low.
-	// While remaining > 0, Malloc reuses the sticky shard instead of
-	// re-reading every shard's occupancy; the counter updates are plain
-	// racy stores (lost decrements just stretch or shrink a window — the
-	// route is a heuristic, never a correctness input), and a shard that
-	// reports out-of-memory zeroes the window so rerouting is immediate.
+	// §11): the sticky shard's index plus one in the high half (0 = no
+	// route), and in the low half the mark — the low 32 bits of that
+	// shard's class claim count (sizeClass.mallocs) at which the window
+	// ends. While the count is below the mark, Malloc reuses the sticky
+	// shard instead of re-reading every shard's occupancy. The word is
+	// written once per window, not per malloc: the window is counted on
+	// the claim count the sticky shard's claims write anyway, so magazine
+	// refills on that shard and class shorten it — the route is a
+	// heuristic, never a correctness input. A shard at its class
+	// threshold or out of memory zeroes the word so rerouting is
+	// immediate.
 	route [NumClasses]atomic.Uint64
 
 	magMu     sync.Mutex // guards the magazine registry, not the magazines
@@ -140,24 +145,28 @@ func (sh *ShardedHeap) Shard(i int) *Heap { return sh.shards[i%len(sh.shards)] }
 // Workers that want stable placement should allocate through Shard(i)
 // instead.
 func (sh *ShardedHeap) Malloc(size int) (heap.Ptr, error) {
+	p, _, err := sh.malloc(size)
+	return p, err
+}
+
+// malloc is Malloc, also returning the shard that served the request.
+func (sh *ShardedHeap) malloc(size int) (heap.Ptr, *Heap, error) {
 	if size > MaxObjectSize {
-		// Large objects bypass the size classes; balance them by total
-		// live bytes instead of class occupancy. No hysteresis: large
-		// allocations are rare and each shifts the balance materially.
-		load := func(s *Heap) int64 {
-			return int64(atomic.LoadUint64(&s.stats.LiveBytes))
-		}
+		// Large objects bypass the size classes; balance them by the
+		// live bytes of each shard's large-object ledger instead of class
+		// occupancy. No hysteresis: large allocations are rare and each
+		// shifts the balance materially.
+		load := (*Heap).largeLiveBytes
 		best, _ := sh.emptiest(load, nil)
 		return sh.mallocRetrying(best, size, load)
 	}
 	c := ClassFor(size)
 	load := sh.classLoad(c)
 	// Hysteresis fast path: reuse the last routing decision while its
-	// window lasts — one load+store on one shared word instead of a load
-	// per shard. The decrement is a plain racy store; a lost update only
-	// perturbs the window length.
-	if st := sh.route[c].Load(); uint32(st) > 0 {
-		s := sh.shards[st>>32]
+	// window lasts — two loads of lines the sticky shard's claim touches
+	// anyway, and no shared write.
+	if st := sh.route[c].Load(); st != 0 {
+		s := sh.shards[st>>32-1]
 		cl := &s.classes[c]
 		if atomic.LoadInt64(&cl.inUse) >= cl.maxInUse.Load() {
 			// The routed *class* hit its 1/M threshold mid-window: drop
@@ -167,11 +176,10 @@ func (sh *ShardedHeap) Malloc(size int) (heap.Ptr, error) {
 			// it can still grow, so a full-but-growable shard kept
 			// absorbing the whole window while emptier siblings sat idle.
 			sh.route[c].Store(0)
-		} else {
-			sh.route[c].Store(st - 1)
+		} else if int32(uint32(atomic.LoadUint64(&cl.mallocs))-uint32(st)) < 0 {
 			p, err := s.Malloc(size)
 			if err == nil || !errors.Is(err, heap.ErrOutOfMemory) {
-				return p, err
+				return p, s, err
 			}
 			sh.route[c].Store(0) // sticky shard is full: reroute now
 		}
@@ -179,16 +187,18 @@ func (sh *ShardedHeap) Malloc(size int) (heap.Ptr, error) {
 	best, idx := sh.emptiest(load, nil)
 	p, err := best.Malloc(size)
 	if err == nil {
-		sh.route[c].Store(uint64(idx)<<32 | (routeWindow - 1))
+		// The window is this malloc plus routeWindow − 1 more claims.
+		mark := uint32(atomic.LoadUint64(&best.classes[c].mallocs)) + routeWindow - 1
+		sh.route[c].Store(uint64(idx+1)<<32 | uint64(mark))
 		if sh.trace != nil {
 			// One event per routing decision (not per malloc): the new
 			// sticky shard for this class.
 			sh.trace.Emit(obs.EvSteal, uint64(idx)<<32|uint64(c))
 		}
-		return p, nil
+		return p, best, nil
 	}
 	if !errors.Is(err, heap.ErrOutOfMemory) {
-		return p, err
+		return p, best, err
 	}
 	return sh.mallocRetrying(best, size, load)
 }
@@ -197,20 +207,20 @@ func (sh *ShardedHeap) Malloc(size int) (heap.Ptr, error) {
 // refused: the remaining shards in ascending load order, so a routed
 // request fails only when every shard is genuinely out of memory. The
 // exclusion set is allocated off the hot path.
-func (sh *ShardedHeap) mallocRetrying(first *Heap, size int, load func(*Heap) int64) (heap.Ptr, error) {
+func (sh *ShardedHeap) mallocRetrying(first *Heap, size int, load func(*Heap) int64) (heap.Ptr, *Heap, error) {
 	p, err := first.Malloc(size)
 	if err == nil || !errors.Is(err, heap.ErrOutOfMemory) {
-		return p, err
+		return p, first, err
 	}
 	tried := map[*Heap]bool{first: true}
 	for len(tried) < len(sh.shards) {
 		next, _ := sh.emptiest(load, tried)
 		if p, err = next.Malloc(size); err == nil || !errors.Is(err, heap.ErrOutOfMemory) {
-			return p, err
+			return p, next, err
 		}
 		tried[next] = true
 	}
-	return heap.Null, err
+	return heap.Null, nil, err
 }
 
 // classLoad returns the routing load function for size class c: the
@@ -348,45 +358,45 @@ func (sh *ShardedHeap) InHeap(p heap.Ptr) bool {
 // Mem returns the shared simulated address space all shards allocate in.
 func (sh *ShardedHeap) Mem() *vmem.Space { return sh.space }
 
-// Stats returns an aggregate snapshot of all shard counters (plus frees
-// the router ignored). Unlike the single-heap allocators, the returned
-// struct is a fresh snapshot, not a live view; PeakLiveBytes is the sum
-// of per-shard peaks, an upper bound on the true simultaneous peak.
+// Stats returns a fresh aggregate snapshot of all shard counters (plus
+// frees the router ignored), like Heap.Stats. PeakLiveBytes is the sum
+// of the shards' peaks, each itself a sum of ledger high-water marks
+// (Heap.StatsSnapshot): an upper bound on the true simultaneous peak.
 func (sh *ShardedHeap) Stats() *heap.Stats {
+	st := sh.StatsSnapshot()
+	return &st
+}
+
+// StatsSnapshot returns the aggregate counters by value: the field-wise
+// sum of the shards' snapshots and the router's own counters.
+func (sh *ShardedHeap) StatsSnapshot() heap.Stats {
 	agg := heap.Stats{
 		IgnoredFrees: atomic.LoadUint64(&sh.stats.IgnoredFrees),
 		StaleFrees:   atomic.LoadUint64(&sh.stats.StaleFrees),
 	}
 	for _, s := range sh.shards {
-		st := s.Stats()
-		// Frees before Mallocs, as in heap.Stats.SnapshotAtomic, so no
-		// shard contributes more frees than mallocs.
-		agg.Frees += atomic.LoadUint64(&st.Frees)
-		agg.Mallocs += atomic.LoadUint64(&st.Mallocs)
-		agg.FailedMallocs += atomic.LoadUint64(&st.FailedMallocs)
-		agg.IgnoredFrees += atomic.LoadUint64(&st.IgnoredFrees)
-		agg.BytesRequested += atomic.LoadUint64(&st.BytesRequested)
-		agg.BytesAllocated += atomic.LoadUint64(&st.BytesAllocated)
-		agg.LiveObjects += atomic.LoadUint64(&st.LiveObjects)
-		agg.LiveBytes += atomic.LoadUint64(&st.LiveBytes)
-		agg.PeakLiveBytes += atomic.LoadUint64(&st.PeakLiveBytes)
-		agg.WorkUnits += atomic.LoadUint64(&st.WorkUnits)
-		agg.Probes += atomic.LoadUint64(&st.Probes)
-		agg.CASRetries += atomic.LoadUint64(&st.CASRetries)
-		agg.RemoteFrees += atomic.LoadUint64(&st.RemoteFrees)
-		agg.RemoteDrains += atomic.LoadUint64(&st.RemoteDrains)
-		agg.Quarantined += atomic.LoadUint64(&st.Quarantined)
-		agg.QuarantineOut += atomic.LoadUint64(&st.QuarantineOut)
-		agg.StaleFrees += atomic.LoadUint64(&st.StaleFrees)
-		agg.Retired += atomic.LoadUint64(&st.Retired)
+		st := s.StatsSnapshot()
+		agg.Mallocs += st.Mallocs
+		agg.Frees += st.Frees
+		agg.FailedMallocs += st.FailedMallocs
+		agg.IgnoredFrees += st.IgnoredFrees
+		agg.BytesRequested += st.BytesRequested
+		agg.BytesAllocated += st.BytesAllocated
+		agg.LiveObjects += st.LiveObjects
+		agg.LiveBytes += st.LiveBytes
+		agg.PeakLiveBytes += st.PeakLiveBytes
+		agg.WorkUnits += st.WorkUnits
+		agg.Probes += st.Probes
+		agg.CASRetries += st.CASRetries
+		agg.RemoteFrees += st.RemoteFrees
+		agg.RemoteDrains += st.RemoteDrains
+		agg.Quarantined += st.Quarantined
+		agg.QuarantineOut += st.QuarantineOut
+		agg.StaleFrees += st.StaleFrees
+		agg.Retired += st.Retired
 	}
-	return &agg
+	return agg
 }
-
-// StatsSnapshot returns the aggregate counters by value — the same
-// atomic aggregation as Stats, under the name the rest of the stack
-// uses for race-safe counter reads.
-func (sh *ShardedHeap) StatsSnapshot() heap.Stats { return *sh.Stats() }
 
 // AttachRecorder wires the flight recorder through the sharded heap:
 // shard i emits its engine events (malloc/free/drain/quarantine/
@@ -409,43 +419,17 @@ func (sh *ShardedHeap) AttachRecorder(rec *obs.Recorder, base int) {
 }
 
 // PublishMetrics registers the aggregate counters as core.* gauges in
-// reg, plus a per-shard core.live_objects{shard=N} breakdown. Gauges
-// aggregate atomically at snapshot time, so live scrapes are
-// race-free.
+// reg, plus a per-shard core.shard_live_objects{shard=N} breakdown.
+// Gauges read snapshots at scrape time, so live scrapes are race-free.
 func (sh *ShardedHeap) PublishMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	type g struct {
-		name string
-		f    func(*heap.Stats) uint64
-	}
-	for _, m := range []g{
-		{"core.mallocs", func(st *heap.Stats) uint64 { return st.Mallocs }},
-		{"core.frees", func(st *heap.Stats) uint64 { return st.Frees }},
-		{"core.failed_mallocs", func(st *heap.Stats) uint64 { return st.FailedMallocs }},
-		{"core.ignored_frees", func(st *heap.Stats) uint64 { return st.IgnoredFrees }},
-		{"core.live_objects", func(st *heap.Stats) uint64 { return st.LiveObjects }},
-		{"core.live_bytes", func(st *heap.Stats) uint64 { return st.LiveBytes }},
-		{"core.probes", func(st *heap.Stats) uint64 { return st.Probes }},
-		{"core.cas_retries", func(st *heap.Stats) uint64 { return st.CASRetries }},
-		{"core.remote_frees", func(st *heap.Stats) uint64 { return st.RemoteFrees }},
-		{"core.remote_drains", func(st *heap.Stats) uint64 { return st.RemoteDrains }},
-		{"core.quarantined", func(st *heap.Stats) uint64 { return st.Quarantined }},
-		{"core.quarantine_released", func(st *heap.Stats) uint64 { return st.QuarantineOut }},
-		{"core.stale_frees", func(st *heap.Stats) uint64 { return st.StaleFrees }},
-		{"core.retired_slots", func(st *heap.Stats) uint64 { return st.Retired }},
-	} {
-		field := m.f
-		reg.Gauge(m.name, func() float64 {
-			st := sh.StatsSnapshot()
-			return float64(field(&st))
-		})
-	}
+	publishStats(reg, sh.StatsSnapshot)
 	for i, s := range sh.shards {
 		shard := s
 		reg.Gauge("core.shard_live_objects", func() float64 {
-			return float64(atomic.LoadUint64(&shard.stats.LiveObjects))
+			return float64(shard.StatsSnapshot().LiveObjects)
 		}, obs.Label{Name: "shard", Value: fmt.Sprint(i)})
 	}
 }

@@ -106,14 +106,12 @@ type Stats struct {
 }
 
 // SnapshotAtomic returns a copy of st with every field loaded
-// atomically. This is the only correct way to read counters while a
-// goroutine-safe allocator is running: the direct struct copy
-// `*a.Stats()` races with the atomic writers (each field is torn-free
-// here, though the copy as a whole is not a consistent cut — exactness
-// holds at quiescence, e.g. after a drain barrier). Sequential
-// allocators may use either form. Frees is loaded before Mallocs:
-// every counted free follows the malloc it frees, so the copy never
-// shows more frees than mallocs.
+// atomically: the way to copy a Stats block that goroutines are still
+// updating atomically (each field is torn-free, though the copy as a
+// whole is not a consistent cut — exactness holds at quiescence, e.g.
+// after a drain barrier). Frees is loaded before Mallocs: every counted
+// free follows the malloc it frees, so the copy never shows more frees
+// than mallocs.
 func (st *Stats) SnapshotAtomic() Stats {
 	frees := atomic.LoadUint64(&st.Frees)
 	return Stats{
@@ -187,18 +185,21 @@ type Allocator interface {
 	SizeOf(p Ptr) (size int, ok bool)
 	// Mem returns the address space this allocator manages memory in.
 	Mem() *vmem.Space
-	// Stats returns the allocator's counters, updated in place.
+	// Stats returns the allocator's counters. The single-goroutine
+	// baselines return their live block, updated in place; DieHard's
+	// heaps (core.Heap, core.ShardedHeap) return a fresh snapshot
+	// derived from their per-class ledgers, so a caller re-reads Stats
+	// to see later operations.
 	Stats() *Stats
 	// Name identifies the allocator in experiment reports.
 	Name() string
 }
 
-// CountMallocBatch publishes n allocations' counters at once, for
-// allocator implementations in sibling packages; an unbatched malloc is
-// n = 1. The magazine front end (DESIGN.md §11) counts served mallocs
-// locally and pushes them here at refill/flush/drain boundaries, so the
-// malloc fast path touches no shared counter at all. reqBytes is the sum
-// of the requested sizes; allocBytes the sum of the rounded slot sizes.
+// CountMallocBatch publishes n allocations' counters at once, for the
+// single-goroutine allocators in sibling packages; an unbatched malloc
+// is n = 1. reqBytes is the sum of the requested sizes; allocBytes the
+// sum of the rounded slot sizes. (DieHard keeps per-class ledgers
+// instead and derives the same fields, DESIGN.md §7.)
 func CountMallocBatch(st *Stats, n int, reqBytes, allocBytes uint64) {
 	st.Mallocs += uint64(n)
 	st.BytesRequested += reqBytes
@@ -210,41 +211,12 @@ func CountMallocBatch(st *Stats, n int, reqBytes, allocBytes uint64) {
 	}
 }
 
-// CountMallocBatchAtomic is CountMallocBatch for goroutine-safe
-// allocators: every counter update is atomic, and the live-bytes
-// high-water mark is maintained with a CAS loop. The single-goroutine
-// baselines keep the unsynchronized CountMallocBatch; only allocators
-// that admit concurrent mallocs pay for atomics. Because the batch is published after the allocations were
-// served, the live-bytes high-water mark is a lower bound on the true
-// instantaneous peak (the same quiescent-exactness contract the
-// magazine's drain barrier restores).
-func CountMallocBatchAtomic(st *Stats, n int, reqBytes, allocBytes uint64) {
-	atomic.AddUint64(&st.Mallocs, uint64(n))
-	atomic.AddUint64(&st.BytesRequested, reqBytes)
-	atomic.AddUint64(&st.BytesAllocated, allocBytes)
-	atomic.AddUint64(&st.LiveObjects, uint64(n))
-	live := atomic.AddUint64(&st.LiveBytes, allocBytes)
-	for {
-		peak := atomic.LoadUint64(&st.PeakLiveBytes)
-		if live <= peak || atomic.CompareAndSwapUint64(&st.PeakLiveBytes, peak, live) {
-			return
-		}
-	}
-}
-
-// CountFreeBatch publishes n frees' counters at once (magazine flush);
-// an unbatched free is n = 1.
+// CountFreeBatch publishes n frees' counters at once; an unbatched free
+// is n = 1.
 func CountFreeBatch(st *Stats, n int, allocBytes uint64) {
 	st.Frees += uint64(n)
 	st.LiveObjects -= uint64(n)
 	st.LiveBytes -= allocBytes
-}
-
-// CountFreeBatchAtomic is CountFreeBatch for goroutine-safe allocators.
-func CountFreeBatchAtomic(st *Stats, n int, allocBytes uint64) {
-	atomic.AddUint64(&st.Frees, uint64(n))
-	atomic.AddUint64(&st.LiveObjects, ^(uint64(n) - 1))
-	atomic.AddUint64(&st.LiveBytes, ^(allocBytes - 1))
 }
 
 // Calloc allocates n objects of size bytes each and zeroes the memory,
